@@ -34,16 +34,18 @@ echo "==> provenance store benchmark smoke"
 ./target/release/bench_provdb --quick BENCH_provdb.json
 cat BENCH_provdb.json
 
-echo "==> trace determinism gate (same seed, twice, byte-identical)"
-./target/release/hiway-trace --out-dir /tmp/hiway_trace1 > /dev/null
-./target/release/hiway-trace --out-dir /tmp/hiway_trace2 > /dev/null
-for f in trace.perfetto.json trace.events.jsonl trace.gantt.txt; do
-  if ! cmp -s "/tmp/hiway_trace1/$f" "/tmp/hiway_trace2/$f"; then
-    echo "FAIL: $f differs between two identically-seeded runs" >&2
-    exit 1
-  fi
+echo "==> trace determinism gate (every policy, same seed, twice, byte-identical)"
+for sched in fcfs data-aware round-robin heft adaptive; do
+  ./target/release/hiway-trace --scheduler "$sched" --out-dir "/tmp/hiway_trace1_$sched" > /dev/null
+  ./target/release/hiway-trace --scheduler "$sched" --out-dir "/tmp/hiway_trace2_$sched" > /dev/null
+  for f in trace.perfetto.json trace.events.jsonl trace.gantt.txt; do
+    if ! cmp -s "/tmp/hiway_trace1_$sched/$f" "/tmp/hiway_trace2_$sched/$f"; then
+      echo "FAIL: $f ($sched) differs between two identically-seeded runs" >&2
+      exit 1
+    fi
+  done
 done
-echo "trace artifacts byte-identical across runs"
+echo "trace artifacts byte-identical across runs for all five policies"
 
 echo "==> chaos determinism gate (same seed, twice, byte-identical)"
 ./target/release/chaos > /tmp/chaos_run1.txt

@@ -25,6 +25,7 @@
 //! carries the attempt id it belongs to, so late events of a cancelled
 //! attempt are recognized as stale and dropped.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use rand::rngs::StdRng;
@@ -33,7 +34,7 @@ use rand::{Rng, SeedableRng};
 use hiway_hdfs::exec as hdfs_exec;
 use hiway_lang::trace::{FileEvent, TaskEvent};
 use hiway_lang::{TaskId, TaskSpec, WorkflowSource};
-use hiway_obs::{Tracer, TrackId};
+use hiway_obs::{CandidateScore, Decision, DecisionKind, Tracer, TrackId};
 use hiway_provdb::ProvDb;
 use hiway_sim::{Activity, ActivityId, Completion, Endpoint, NodeId, SimTime};
 use hiway_yarn::{AppId, Container, ContainerId, ContainerRequest};
@@ -43,7 +44,7 @@ use crate::config::HiwayConfig;
 use crate::memo::{memo_key, MemoHit, MemoStore};
 use crate::provenance::ProvenanceManager;
 use crate::report::{TaskReport, WorkflowReport};
-use crate::scheduler::{make_scheduler, Scheduler};
+use crate::scheduler::{make_scheduler, Scheduler, Scores};
 use hiway_yarn::Resource;
 
 /// Per-task execution state. Attempt-level phases (stage-in, exec,
@@ -237,6 +238,34 @@ impl Am {
         entry.count += 1;
         entry.expires = now + decay;
     }
+}
+
+/// The driver's one selection rule over a policy's scores: the best
+/// `(key, tie)` among the eligible candidates wins, and full ties go to
+/// the earliest-ready one (the latest-ready one under `latest_wins_ties`).
+pub(crate) fn pick(scores: &Scores) -> Option<usize> {
+    let better = if scores.lower_wins {
+        Ordering::Less
+    } else {
+        Ordering::Greater
+    };
+    let mut best: Option<usize> = None;
+    for (i, s) in scores.of.iter().enumerate() {
+        let beats = s.reserved_for.is_none()
+            && best.is_none_or(|b| {
+                let b = &scores.of[b];
+                let ord = s
+                    .key
+                    .partial_cmp(&b.key)
+                    .expect("scores are finite")
+                    .then_with(|| s.tie.partial_cmp(&b.tie).expect("scores are finite"));
+                ord == better || (ord == Ordering::Equal && scores.latest_wins_ties)
+            });
+        if beats {
+            best = Some(i);
+        }
+    }
+    best
 }
 
 /// Hosts AMs on a cluster and drives the simulation to completion.
@@ -444,15 +473,10 @@ impl Runtime {
             }
         }
         // Anything still active at engine drain is stalled.
-        let mut finished = Vec::new();
-        for am in &mut self.ams {
-            if am.active() {
-                am.error = Some("workflow stalled: no runnable work left".to_string());
-                finished.push(am.app);
+        for wf in 0..self.ams.len() {
+            if self.ams[wf].active() {
+                self.fail_workflow(wf, "workflow stalled: no runnable work left".to_string());
             }
-        }
-        for app in finished {
-            self.cluster.rm.finish_app(app);
         }
         self.reports()
     }
@@ -576,12 +600,12 @@ impl Runtime {
                     FailureKind::Infra,
                     "node failure",
                 );
-            } else if let Some(am) = self
+            } else if let Some(wf) = self
                 .ams
-                .iter_mut()
-                .find(|am| am.am_container.map(|c| c.id) == Some(container.id))
+                .iter()
+                .position(|am| am.am_container.map(|c| c.id) == Some(container.id))
             {
-                am.error = Some(format!("AM container lost with node {}", node.0));
+                self.fail_workflow(wf, format!("AM container lost with node {}", node.0));
             }
         }
     }
@@ -697,20 +721,15 @@ impl Runtime {
                 self.stall_strikes = 0;
             }
             if self.stall_strikes > 3 {
-                let mut finished = Vec::new();
-                for am in &mut self.ams {
-                    if am.active() {
-                        am.error = Some(if am.started {
+                for wf in 0..self.ams.len() {
+                    if self.ams[wf].active() {
+                        let why = if self.ams[wf].started {
                             "workflow stalled: tasks waiting on inputs that never appear"
-                                .to_string()
                         } else {
-                            "workflow stalled: AM container was never allocated".to_string()
-                        });
-                        finished.push(am.app);
+                            "workflow stalled: AM container was never allocated"
+                        };
+                        self.fail_workflow(wf, why.to_string());
                     }
-                }
-                for app in finished {
-                    self.cluster.rm.finish_app(app);
                 }
                 return;
             }
@@ -764,45 +783,59 @@ impl Runtime {
             .map(|id| &am.tasks[id].spec)
             .collect();
         let node_name = self.cluster.engine.spec().node(node).name.clone();
-        let chosen = am.scheduler.select_task_with_stats(
-            node,
-            &node_name,
-            &candidates,
-            &self.cluster.hdfs,
-            &am.prov,
-            &self.tracer,
-            now,
-        );
-        // Late binding: an adaptive policy may decline a poorly placed
-        // container and wait for a better one (bounded per task).
-        if let Some(task_id) = chosen {
-            let task = &am.tasks[&task_id];
-            if task.declines < 3 && am.scheduler.decline(node, &node_name, &task.spec, &am.prov) {
-                am.tasks.get_mut(&task_id).expect("known").declines += 1;
-                let resource = container.resource;
-                self.cluster.rm.release(container.id);
-                let am = &mut self.ams[wf];
-                let req = am
-                    .scheduler
-                    .container_request(&am.tasks[&task_id].spec, resource);
-                self.cluster.rm.request(am.app, req);
+        // The policy scores; the fixed rule picks, and the audit row is
+        // written from the very scores the pick used.
+        let scores =
+            am.scheduler
+                .score(node, &node_name, &candidates, &self.cluster.hdfs, &am.prov);
+        let winner = pick(&scores);
+        if self.tracer.is_enabled() {
+            self.tracer.audit(Decision {
+                t: now,
+                policy: am.scheduler.policy().name(),
+                kind: DecisionKind::Select,
+                node: node.0,
+                node_name: node_name.clone(),
+                candidates: candidates
+                    .iter()
+                    .zip(&scores.of)
+                    .map(|(t, s)| CandidateScore {
+                        task: t.id.0,
+                        label: t.name.clone(),
+                        score: s.key,
+                        detail: (scores.detail)(s, &node_name),
+                    })
+                    .collect(),
+                winner: winner.map(|i| candidates[i].id.0),
+                reason: scores.reason.into(),
+            });
+        }
+        let Some(i) = winner else {
+            // No primary task fits this container: maybe a straggler's
+            // speculative duplicate can use it.
+            if self.try_launch_speculative(wf, container) {
                 return;
             }
+            // Otherwise hand it back and re-ask so the request count
+            // matches the ready tasks again.
+            self.cluster.rm.release(container.id);
+            self.re_request_head(wf);
+            return;
+        };
+        let task_id = candidates[i].id;
+        // Late binding: the policy may decline a poorly placed container
+        // and wait for a better one (bounded per task).
+        let task = am.tasks.get_mut(&task_id).expect("candidate is known");
+        if scores.of[i].decline && task.declines < 3 {
+            task.declines += 1;
+            let req = am
+                .scheduler
+                .container_request(&task.spec, container.resource);
+            self.cluster.rm.release(container.id);
+            self.cluster.rm.request(am.app, req);
+            return;
         }
-        match chosen {
-            Some(task_id) => self.launch_attempt(wf, container, task_id, false),
-            None => {
-                // No primary task fits this container: maybe a straggler's
-                // speculative duplicate can use it.
-                if self.try_launch_speculative(wf, container) {
-                    return;
-                }
-                // Otherwise hand it back and re-ask so the request count
-                // matches the ready tasks again.
-                self.cluster.rm.release(container.id);
-                self.re_request_head(wf);
-            }
-        }
+        self.launch_attempt(wf, container, task_id, false);
     }
 
     /// Issues a fresh container request for the head Requested task (used
@@ -976,11 +1009,12 @@ impl Runtime {
         let am = &mut self.ams[wf];
         am.started = true;
         if am.config.scheduler.is_static() && !am.source.is_static() {
-            am.error = Some(format!(
+            let why = format!(
                 "static scheduling policy '{}' cannot run iterative language '{}'",
                 am.config.scheduler.name(),
                 am.source.language()
-            ));
+            );
+            self.fail_workflow(wf, why);
             return;
         }
         match am.source.initial_tasks() {
@@ -999,7 +1033,8 @@ impl Runtime {
                         .filter(|n| self.cluster.rm.available(*n).fits(&resource))
                         .collect();
                     if nodes.is_empty() {
-                        am.error = Some(
+                        self.fail_workflow(
+                            wf,
                             "no node can host a worker container; static planning impossible"
                                 .to_string(),
                         );
@@ -1022,9 +1057,7 @@ impl Runtime {
                 self.check_ready(wf);
                 self.maybe_finish(wf);
             }
-            Err(e) => {
-                am.error = Some(e.to_string());
-            }
+            Err(e) => self.fail_workflow(wf, e.to_string()),
         }
     }
 
@@ -1961,6 +1994,10 @@ impl Runtime {
         self.cluster.rm.request(am.app, req);
     }
 
+    /// The one teardown for every way a workflow ends other than success
+    /// (task budget exhausted, front-end error, stall, AM loss, refused
+    /// start, unsatisfiable request): cancel everything in flight, release
+    /// every lease, withdraw the outstanding requests, finish the app.
     fn fail_workflow(&mut self, wf: usize, message: String) {
         let am = &mut self.ams[wf];
         am.error = Some(message);
@@ -1985,6 +2022,7 @@ impl Runtime {
         if let Some(c) = self.ams[wf].am_container.take() {
             self.cluster.rm.release(c.id);
         }
+        self.cluster.rm.withdraw_requests(self.ams[wf].app);
         self.cluster.rm.finish_app(self.ams[wf].app);
     }
 

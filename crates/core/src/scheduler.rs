@@ -4,7 +4,8 @@
 //! mirroring the paper's architecture: when a task's data dependencies are
 //! met the scheduler shapes the *container request* (anywhere, or pinned
 //! to a node for static policies), and when YARN hands back an allocated
-//! container the scheduler *selects* which ready task runs in it.
+//! container the scheduler *scores* the ready tasks; the driver picks,
+//! declines and audits from those scores.
 //!
 //! * **FCFS** — tasks queue; the head runs in whatever container arrives.
 //! * **Data-aware** (Hi-WAY's default) — "whenever a new container is
@@ -32,64 +33,80 @@ use crate::provenance::ProvenanceManager;
 
 /// A Workflow Scheduler policy implementation.
 pub trait Scheduler {
+    fn policy(&self) -> SchedulerPolicy;
+
     /// For static policies: builds the complete task→node schedule before
     /// execution. Called once, after the (static) workflow is parsed.
-    /// Dynamic policies ignore it.
+    /// Dynamic policies keep this no-op.
     fn plan(
         &mut self,
-        tasks: &[TaskSpec],
-        nodes: &[NodeId],
-        node_names: &[String],
-        prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    );
+        _tasks: &[TaskSpec],
+        _nodes: &[NodeId],
+        _node_names: &[String],
+        _prov: &ProvenanceManager,
+        _tracer: &Tracer,
+        _now: f64,
+    ) {
+    }
 
     /// Shapes the container request for a task whose dependencies are met.
-    fn container_request(&self, task: &TaskSpec, resource: Resource) -> ContainerRequest;
+    fn container_request(&self, _task: &TaskSpec, resource: Resource) -> ContainerRequest {
+        ContainerRequest::anywhere(resource)
+    }
 
-    /// Picks which of the `candidates` (ready, unlaunched tasks, in
-    /// readiness order) should run in a container on `node`.
-    fn select_task(
-        &mut self,
-        node: NodeId,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
-    ) -> Option<TaskId>;
-
-    /// Dynamic adaptive policies re-select with fresh statistics; the
-    /// driver calls this variant (default: ignore the statistics). Every
-    /// policy overrides it to write the audit log: one [`Decision`] per
-    /// container, scoring each candidate in the policy's own terms.
-    #[allow(clippy::too_many_arguments)]
-    fn select_task_with_stats(
-        &mut self,
+    /// Scores the candidates (ready, unlaunched tasks, in readiness order)
+    /// for a container on `node`: one [`Score`] each, in candidate order.
+    fn score(
+        &self,
         node: NodeId,
         node_name: &str,
         candidates: &[&TaskSpec],
         hdfs: &Hdfs,
-        _prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    ) -> Option<TaskId> {
-        let _ = (node_name, tracer, now);
-        self.select_task(node, candidates, hdfs)
-    }
+        prov: &ProvenanceManager,
+    ) -> Scores;
+}
 
-    /// Whether to *decline* a container on `node` for `task` and wait for
-    /// a better-placed one (late binding). The driver bounds consecutive
-    /// declines, so a pathological estimate cannot starve a task.
-    fn decline(
-        &self,
-        _node: NodeId,
-        _node_name: &str,
-        _task: &TaskSpec,
-        _prov: &ProvenanceManager,
-    ) -> bool {
-        false
-    }
+/// One candidate's standing under a policy.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Score {
+    /// The policy's objective; the audit row logs it as the score.
+    pub key: f64,
+    /// Compared only when `key` ties, in the same orientation.
+    pub tie: f64,
+    /// If this candidate wins, the policy would rather hand the container
+    /// back and wait for a better-placed one (late binding).
+    pub decline: bool,
+    /// `Some(n)`: the candidate is ineligible here because it belongs on
+    /// node `n` (static policies: planned for another node).
+    pub reserved_for: Option<NodeId>,
+}
 
-    fn policy(&self) -> SchedulerPolicy;
+impl Score {
+    /// An eligible score with no tie-breaker.
+    pub fn new(key: f64) -> Score {
+        Score {
+            key,
+            tie: 0.0,
+            decline: false,
+            reserved_for: None,
+        }
+    }
+}
+
+/// A policy's verdict on one container: a score per candidate plus how
+/// to read and explain them.
+pub struct Scores {
+    /// The lowest score wins (else the highest).
+    pub lower_wins: bool,
+    /// One score per candidate, in candidate order.
+    pub of: Vec<Score>,
+    /// A full `(key, tie)` tie goes to the latest-ready candidate instead
+    /// of the earliest.
+    pub latest_wins_ties: bool,
+    /// Why the winner won, in the policy's own terms.
+    pub reason: &'static str,
+    /// Formats a candidate's audit detail (called only when tracing).
+    pub detail: fn(&Score, &str) -> String,
 }
 
 /// Instantiates the scheduler for a policy.
@@ -107,175 +124,68 @@ pub fn make_scheduler(policy: SchedulerPolicy) -> Box<dyn Scheduler> {
 pub struct FcfsScheduler;
 
 impl Scheduler for FcfsScheduler {
-    fn plan(
-        &mut self,
-        _: &[TaskSpec],
-        _: &[NodeId],
-        _: &[String],
-        _: &ProvenanceManager,
-        _: &Tracer,
-        _: f64,
-    ) {
-    }
-
-    fn container_request(&self, _task: &TaskSpec, resource: Resource) -> ContainerRequest {
-        ContainerRequest::anywhere(resource)
-    }
-
-    fn select_task(
-        &mut self,
-        _node: NodeId,
-        candidates: &[&TaskSpec],
-        _hdfs: &Hdfs,
-    ) -> Option<TaskId> {
-        candidates.first().map(|t| t.id)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn select_task_with_stats(
-        &mut self,
-        node: NodeId,
-        node_name: &str,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
-        _prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    ) -> Option<TaskId> {
-        let winner = self.select_task(node, candidates, hdfs);
-        if tracer.is_enabled() {
-            tracer.audit(Decision {
-                t: now,
-                policy: SchedulerPolicy::Fcfs.name(),
-                kind: DecisionKind::Select,
-                node: node.0,
-                node_name: node_name.to_string(),
-                candidates: candidates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| CandidateScore {
-                        task: t.id.0,
-                        label: t.name.clone(),
-                        score: i as f64,
-                        detail: format!("queue position {i}"),
-                    })
-                    .collect(),
-                winner: winner.map(|id| id.0),
-                reason: "head of the ready queue (lowest queue position wins)".into(),
-            });
-        }
-        winner
-    }
-
     fn policy(&self) -> SchedulerPolicy {
         SchedulerPolicy::Fcfs
+    }
+
+    fn score(
+        &self,
+        _node: NodeId,
+        _node_name: &str,
+        candidates: &[&TaskSpec],
+        _hdfs: &Hdfs,
+        _prov: &ProvenanceManager,
+    ) -> Scores {
+        Scores {
+            lower_wins: true,
+            of: (0..candidates.len())
+                .map(|i| Score::new(i as f64))
+                .collect(),
+            latest_wins_ties: false,
+            reason: "head of the ready queue (lowest queue position wins)",
+            detail: |s, _| format!("queue position {}", s.key),
+        }
     }
 }
 
 /// Data-aware (the default).
 pub struct DataAwareScheduler;
 
-impl DataAwareScheduler {
-    /// Locality fraction per candidate, in readiness order. On a dead
-    /// DataNode every fraction is zero (liveness is invariant across
-    /// candidates), and the tie-break degenerates to FCFS.
-    fn fractions(node: NodeId, candidates: &[&TaskSpec], hdfs: &Hdfs) -> Vec<(TaskId, f64)> {
-        let alive = hdfs.is_alive(node);
-        candidates
-            .iter()
-            .map(|t| {
-                let frac = if alive {
-                    hdfs.locality_fraction(&t.inputs, node)
-                } else {
-                    0.0
-                };
-                (t.id, frac)
-            })
-            .collect()
-    }
-
-    fn pick(scored: &[(TaskId, f64)]) -> Option<TaskId> {
-        scored
-            .iter()
-            // max_by prefers later elements on ties; iterate reversed so
-            // ties resolve to the *earliest* ready task (FCFS within ties).
-            .rev()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("fractions are finite"))
-            .map(|(id, _)| *id)
-    }
-}
-
 impl Scheduler for DataAwareScheduler {
-    fn plan(
-        &mut self,
-        _: &[TaskSpec],
-        _: &[NodeId],
-        _: &[String],
-        _: &ProvenanceManager,
-        _: &Tracer,
-        _: f64,
-    ) {
+    fn policy(&self) -> SchedulerPolicy {
+        SchedulerPolicy::DataAware
     }
 
-    fn container_request(&self, _task: &TaskSpec, resource: Resource) -> ContainerRequest {
-        ContainerRequest::anywhere(resource)
-    }
-
-    fn select_task(
-        &mut self,
+    /// Locality fraction per candidate. On a dead DataNode every fraction
+    /// is zero (liveness is invariant across candidates), and the
+    /// tie-break degenerates to FCFS.
+    fn score(
+        &self,
         node: NodeId,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
-    ) -> Option<TaskId> {
-        Self::pick(&Self::fractions(node, candidates, hdfs))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn select_task_with_stats(
-        &mut self,
-        node: NodeId,
-        node_name: &str,
+        _node_name: &str,
         candidates: &[&TaskSpec],
         hdfs: &Hdfs,
         _prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    ) -> Option<TaskId> {
-        let scored = Self::fractions(node, candidates, hdfs);
-        let winner = Self::pick(&scored);
-        if tracer.is_enabled() {
-            let alive = hdfs.is_alive(node);
-            tracer.audit(Decision {
-                t: now,
-                policy: SchedulerPolicy::DataAware.name(),
-                kind: DecisionKind::Select,
-                node: node.0,
-                node_name: node_name.to_string(),
-                candidates: candidates
-                    .iter()
-                    .zip(&scored)
-                    .map(|(t, (_, frac))| CandidateScore {
-                        task: t.id.0,
-                        label: t.name.clone(),
-                        score: *frac,
-                        detail: format!("locality fraction {frac:.3} on {node_name}"),
-                    })
-                    .collect(),
-                winner: winner.map(|id| id.0),
-                reason: if alive {
-                    "highest fraction of input data local to the container's node \
-                     (ties fall back to FCFS order)"
-                        .into()
-                } else {
-                    "node's DataNode is down: all fractions zero, FCFS fallback".into()
-                },
-            });
+    ) -> Scores {
+        let alive = hdfs.is_alive(node);
+        Scores {
+            lower_wins: false,
+            of: candidates
+                .iter()
+                .map(|t| {
+                    let frac = alive.then(|| hdfs.locality_fraction(&t.inputs, node));
+                    Score::new(frac.unwrap_or(0.0))
+                })
+                .collect(),
+            latest_wins_ties: false,
+            reason: if alive {
+                "highest fraction of input data local to the container's node \
+                 (ties fall back to FCFS order)"
+            } else {
+                "node's DataNode is down: all fractions zero, FCFS fallback"
+            },
+            detail: |s, node_name| format!("locality fraction {:.3} on {node_name}", s.key),
         }
-        winner
-    }
-
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::DataAware
     }
 }
 
@@ -284,6 +194,49 @@ impl Scheduler for DataAwareScheduler {
 pub struct StaticScheduler {
     policy: SchedulerPolicy,
     assignment: HashMap<TaskId, NodeId>,
+}
+
+/// What one `plan` call needs to write its `Plan` audit rows.
+struct PlanLog<'a> {
+    tracer: &'a Tracer,
+    now: f64,
+    policy: SchedulerPolicy,
+    nodes: &'a [NodeId],
+    node_names: &'a [String],
+}
+
+impl PlanLog<'_> {
+    /// One `Plan` row: `task` goes to `nodes[chosen]`, and `scored` gives
+    /// every node's `(score, detail)` in node order.
+    fn row(
+        &self,
+        task: TaskId,
+        chosen: usize,
+        scored: impl Iterator<Item = (f64, String)>,
+        reason: String,
+    ) {
+        let name = |n: &NodeId| self.node_names[n.index()].clone();
+        self.tracer.audit(Decision {
+            t: self.now,
+            policy: self.policy.name(),
+            kind: DecisionKind::Plan,
+            node: self.nodes[chosen].0,
+            node_name: name(&self.nodes[chosen]),
+            candidates: self
+                .nodes
+                .iter()
+                .zip(scored)
+                .map(|(n, (score, detail))| CandidateScore {
+                    task: task.0,
+                    label: name(n),
+                    score,
+                    detail,
+                })
+                .collect(),
+            winner: Some(task.0),
+            reason,
+        });
+    }
 }
 
 impl StaticScheduler {
@@ -295,45 +248,21 @@ impl StaticScheduler {
         }
     }
 
-    /// The planned node for a task (exposed for tests and diagnostics).
-    pub fn assigned_node(&self, task: TaskId) -> Option<NodeId> {
-        self.assignment.get(&task).copied()
-    }
-
-    fn plan_round_robin(
-        &mut self,
-        tasks: &[TaskSpec],
-        nodes: &[NodeId],
-        node_names: &[String],
-        tracer: &Tracer,
-        now: f64,
-    ) {
+    fn plan_round_robin(&mut self, tasks: &[TaskSpec], nodes: &[NodeId], log: Option<PlanLog>) {
         let n = nodes.len();
         let mut planned = vec![0usize; n];
         for (i, t) in tasks.iter().enumerate() {
             let slot = i % n;
-            let node = nodes[slot];
-            self.assignment.insert(t.id, node);
-            if tracer.is_enabled() {
-                tracer.audit(Decision {
-                    t: now,
-                    policy: SchedulerPolicy::RoundRobin.name(),
-                    kind: DecisionKind::Plan,
-                    node: node.0,
-                    node_name: node_names[node.index()].clone(),
-                    candidates: nodes
+            self.assignment.insert(t.id, nodes[slot]);
+            if let Some(log) = &log {
+                log.row(
+                    t.id,
+                    slot,
+                    planned
                         .iter()
-                        .enumerate()
-                        .map(|(ni, cand)| CandidateScore {
-                            task: t.id.0,
-                            label: node_names[cand.index()].clone(),
-                            score: planned[ni] as f64,
-                            detail: format!("{} tasks already planned here", planned[ni]),
-                        })
-                        .collect(),
-                    winner: Some(t.id.0),
-                    reason: format!("round-robin: task #{i} takes slot {slot} of {n}"),
-                });
+                        .map(|&p| (p as f64, format!("{p} tasks already planned here"))),
+                    format!("round-robin: task #{i} takes slot {slot} of {n}"),
+                );
             }
             planned[slot] += 1;
         }
@@ -352,26 +281,19 @@ impl StaticScheduler {
         nodes: &[NodeId],
         node_names: &[String],
         prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
+        log: Option<PlanLog>,
     ) {
         let n = nodes.len();
-        let idx_of: HashMap<TaskId, usize> =
-            tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
 
         // w[t][n]: estimated runtime of task t on node n (latest
         // observation; zero when unexplored, which drives exploration).
+        let estimate = |t: &TaskSpec, node: &NodeId| {
+            prov.latest_runtime(&t.name, &node_names[node.index()])
+                .unwrap_or(0.0)
+        };
         let w: Vec<Vec<f64>> = tasks
             .iter()
-            .map(|t| {
-                nodes
-                    .iter()
-                    .map(|node| {
-                        prov.latest_runtime(&t.name, &node_names[node.index()])
-                            .unwrap_or(0.0)
-                    })
-                    .collect()
-            })
+            .map(|t| nodes.iter().map(|node| estimate(t, node)).collect())
             .collect();
         let w_avg: Vec<f64> = w
             .iter()
@@ -431,58 +353,49 @@ impl StaticScheduler {
         let mut finish = vec![0.0f64; tasks.len()];
         for &ti in &order {
             let data_ready = parents[ti].iter().map(|&p| finish[p]).fold(0.0, f64::max);
+            let eft_on = |ni: usize| node_ready[ni].max(data_ready) + w[ti][ni];
             let mut best: Option<(usize, f64)> = None;
-            let mut audit = tracer.is_enabled().then(Vec::new);
             for ni in 0..n {
-                let eft = node_ready[ni].max(data_ready) + w[ti][ni];
-                if let Some(cands) = audit.as_mut() {
-                    cands.push(CandidateScore {
-                        task: tasks[ti].id.0,
-                        label: node_names[nodes[ni].index()].clone(),
-                        score: eft,
-                        detail: format!(
-                            "EFT {:.3}s = max(node ready {:.3}, data ready {:.3}) + est {:.3}",
-                            eft, node_ready[ni], data_ready, w[ti][ni]
-                        ),
-                    });
-                }
-                let better = match best {
-                    None => true,
-                    Some((bni, beft)) => {
-                        eft < beft - 1e-12
-                            || ((eft - beft).abs() <= 1e-12 && node_load[ni] < node_load[bni])
-                    }
-                };
+                let eft = eft_on(ni);
+                let better = best.is_none_or(|(bni, beft)| {
+                    eft < beft - 1e-12
+                        || ((eft - beft).abs() <= 1e-12 && node_load[ni] < node_load[bni])
+                });
                 if better {
                     best = Some((ni, eft));
                 }
             }
             let (ni, eft) = best.expect("at least one node");
             self.assignment.insert(tasks[ti].id, nodes[ni]);
-            if let Some(cands) = audit {
-                tracer.audit(Decision {
-                    t: now,
-                    policy: SchedulerPolicy::Heft.name(),
-                    kind: DecisionKind::Plan,
-                    node: nodes[ni].0,
-                    node_name: node_names[nodes[ni].index()].clone(),
-                    candidates: cands,
-                    winner: Some(tasks[ti].id.0),
-                    reason: format!(
+            if let Some(log) = &log {
+                log.row(
+                    tasks[ti].id,
+                    ni,
+                    (0..n).map(|k| {
+                        let (eft, ready, est) = (eft_on(k), node_ready[k], w[ti][k]);
+                        let detail = format!(
+                            "EFT {eft:.3}s = max(node ready {ready:.3}, data ready {data_ready:.3}) + est {est:.3}"
+                        );
+                        (eft, detail)
+                    }),
+                    format!(
                         "earliest finish time (upward rank {:.3}; load breaks EFT ties)",
                         rank[ti]
                     ),
-                });
+                );
             }
             node_ready[ni] = eft;
             node_load[ni] += 1;
             finish[ti] = eft;
         }
-        let _ = idx_of;
     }
 }
 
 impl Scheduler for StaticScheduler {
+    fn policy(&self) -> SchedulerPolicy {
+        self.policy
+    }
+
     fn plan(
         &mut self,
         tasks: &[TaskSpec],
@@ -493,11 +406,16 @@ impl Scheduler for StaticScheduler {
         now: f64,
     ) {
         assert!(!nodes.is_empty(), "cannot plan on an empty cluster");
+        let log = tracer.is_enabled().then_some(PlanLog {
+            tracer,
+            now,
+            policy: self.policy,
+            nodes,
+            node_names,
+        });
         match self.policy {
-            SchedulerPolicy::RoundRobin => {
-                self.plan_round_robin(tasks, nodes, node_names, tracer, now)
-            }
-            SchedulerPolicy::Heft => self.plan_heft(tasks, nodes, node_names, prov, tracer, now),
+            SchedulerPolicy::RoundRobin => self.plan_round_robin(tasks, nodes, log),
+            SchedulerPolicy::Heft => self.plan_heft(tasks, nodes, node_names, prov, log),
             _ => unreachable!("dynamic policy in StaticScheduler"),
         }
     }
@@ -511,69 +429,39 @@ impl Scheduler for StaticScheduler {
         }
     }
 
-    fn select_task(
-        &mut self,
+    /// Plan confirmation: 1 for a task planned here, 0.5 for one outside
+    /// the plan (it fills spare containers), and 0 — ineligible — for a
+    /// task planned for another node.
+    fn score(
+        &self,
         node: NodeId,
+        _node_name: &str,
         candidates: &[&TaskSpec],
         _hdfs: &Hdfs,
-    ) -> Option<TaskId> {
-        candidates
-            .iter()
-            .find(|t| self.assignment.get(&t.id) == Some(&node))
-            .or_else(|| {
-                candidates
-                    .iter()
-                    .find(|t| !self.assignment.contains_key(&t.id))
-            })
-            .map(|t| t.id)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn select_task_with_stats(
-        &mut self,
-        node: NodeId,
-        node_name: &str,
-        candidates: &[&TaskSpec],
-        hdfs: &Hdfs,
         _prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    ) -> Option<TaskId> {
-        let winner = self.select_task(node, candidates, hdfs);
-        if tracer.is_enabled() {
-            tracer.audit(Decision {
-                t: now,
-                policy: self.policy.name(),
-                kind: DecisionKind::Select,
-                node: node.0,
-                node_name: node_name.to_string(),
-                candidates: candidates
-                    .iter()
-                    .map(|t| {
-                        let (score, detail) = match self.assignment.get(&t.id) {
-                            Some(&a) if a == node => (1.0, format!("planned for {node_name}")),
-                            Some(&a) => (0.0, format!("planned for node {}", a.0)),
-                            None => (0.5, "outside the static plan".into()),
-                        };
-                        CandidateScore {
-                            task: t.id.0,
-                            label: t.name.clone(),
-                            score,
-                            detail,
-                        }
-                    })
-                    .collect(),
-                winner: winner.map(|id| id.0),
-                reason: "static plan confirmation: the task pre-assigned to this node \
-                         (unplanned tasks fill spare containers)"
-                    .into(),
-            });
+    ) -> Scores {
+        Scores {
+            lower_wins: false,
+            of: candidates
+                .iter()
+                .map(|t| match self.assignment.get(&t.id) {
+                    Some(&a) if a == node => Score::new(1.0),
+                    Some(&a) => Score {
+                        reserved_for: Some(a),
+                        ..Score::new(0.0)
+                    },
+                    None => Score::new(0.5),
+                })
+                .collect(),
+            latest_wins_ties: false,
+            reason: "static plan confirmation: the task pre-assigned to this node \
+                     (unplanned tasks fill spare containers)",
+            detail: |s, node_name| match s.reserved_for {
+                Some(a) => format!("planned for node {}", a.0),
+                None if s.key == 1.0 => format!("planned for {node_name}"),
+                None => "outside the static plan".into(),
+            },
         }
-        winner
-    }
-
-    fn policy(&self) -> SchedulerPolicy {
-        self.policy
     }
 }
 
@@ -583,145 +471,77 @@ impl Scheduler for StaticScheduler {
 /// `n`, each candidate is scored by `latest(sig, n) / avg over observed
 /// nodes` — prefer the task for which this node is relatively fastest;
 /// unobserved task/node pairs score 0 (the paper's exploration-friendly
-/// zero default). Ties fall back to data-aware locality.
-#[derive(Default)]
+/// zero default). Ties fall back to data-aware locality. A winner this
+/// node is known to run much slower than its cross-node average
+/// (`latest > 1.5 × avg`) is declined: wait for a faster host.
 pub struct AdaptiveScheduler;
 
 impl Scheduler for AdaptiveScheduler {
-    fn plan(
-        &mut self,
-        _: &[TaskSpec],
-        _: &[NodeId],
-        _: &[String],
-        _: &ProvenanceManager,
-        _: &Tracer,
-        _: f64,
-    ) {
+    fn policy(&self) -> SchedulerPolicy {
+        SchedulerPolicy::Adaptive
     }
 
-    fn container_request(&self, _task: &TaskSpec, resource: Resource) -> ContainerRequest {
-        ContainerRequest::anywhere(resource)
-    }
-
-    fn select_task(
-        &mut self,
-        _node: NodeId,
-        candidates: &[&TaskSpec],
-        _hdfs: &Hdfs,
-    ) -> Option<TaskId> {
-        candidates.first().map(|t| t.id)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn select_task_with_stats(
-        &mut self,
+    fn score(
+        &self,
         node: NodeId,
         node_name: &str,
         candidates: &[&TaskSpec],
         hdfs: &Hdfs,
         prov: &ProvenanceManager,
-        tracer: &Tracer,
-        now: f64,
-    ) -> Option<TaskId> {
+    ) -> Scores {
         // Relative fitness of running `t` here: how does this node's
         // latest observation compare to the estimate of placing the task
         // "somewhere typical"? Lower is better; 0 (unobserved) explores.
-        let score = |t: &TaskSpec| -> f64 {
+        let fitness = |t: &TaskSpec| -> (f64, bool) {
             let here = prov.latest_runtime(&t.name, node_name).unwrap_or(0.0);
             if here == 0.0 {
-                return 0.0; // unexplored: try it
+                return (0.0, false); // unexplored: try it (and learn)
             }
-            let avg = prov.average_runtime(&t.name).unwrap_or(here);
-            if avg <= 0.0 {
-                0.0
-            } else {
-                here / avg
+            let avg = prov.average_runtime(&t.name);
+            match avg.unwrap_or(here) {
+                a if a <= 0.0 => (0.0, false),
+                a => (here / a, avg.is_some() && here > a * 1.5),
             }
         };
         // Hoisted liveness check: locality on a dead node is uniformly
         // zero, so skip the per-candidate block scans entirely.
         let node_alive = hdfs.is_alive(node);
-        let scored: Vec<(TaskId, f64, f64)> = candidates
-            .iter()
-            .map(|t| {
-                (
-                    t.id,
-                    score(t),
-                    // Locality as the tie-breaker.
-                    if node_alive {
-                        -hdfs.locality_fraction(&t.inputs, node)
-                    } else {
-                        0.0
-                    },
+        Scores {
+            lower_wins: true,
+            of: candidates
+                .iter()
+                .map(|t| {
+                    let (key, decline) = fitness(t);
+                    // Locality as the tie-breaker (negated: lower wins).
+                    let tie = node_alive.then(|| -hdfs.locality_fraction(&t.inputs, node));
+                    Score {
+                        tie: tie.unwrap_or(0.0),
+                        decline,
+                        ..Score::new(key)
+                    }
+                })
+                .collect(),
+            // Equal fitness and locality go to the latest-ready task: the
+            // policy's placements have always broken full ties that way,
+            // although its reason text says "FCFS order".
+            latest_wins_ties: true,
+            reason: "lowest relative fitness wins (ties: higher locality, then \
+                     FCFS order)",
+            detail: |s, _| {
+                format!(
+                    "relative fitness {:.3} (latest here / cross-node avg; \
+                     0 = unexplored), locality {:.3}",
+                    s.key, -s.tie
                 )
-            })
-            .collect();
-        let winner = scored
-            .iter()
-            // Earliest-ready wins remaining ties (stable min by rev+min_by).
-            .rev()
-            .min_by(|(_, s1, l1), (_, s2, l2)| {
-                s1.partial_cmp(s2)
-                    .expect("scores are finite")
-                    .then(l1.partial_cmp(l2).expect("fractions are finite"))
-            })
-            .map(|(id, _, _)| *id);
-        if tracer.is_enabled() {
-            tracer.audit(Decision {
-                t: now,
-                policy: SchedulerPolicy::Adaptive.name(),
-                kind: DecisionKind::Select,
-                node: node.0,
-                node_name: node_name.to_string(),
-                candidates: candidates
-                    .iter()
-                    .zip(&scored)
-                    .map(|(t, (_, fitness, neg_local))| CandidateScore {
-                        task: t.id.0,
-                        label: t.name.clone(),
-                        score: *fitness,
-                        detail: format!(
-                            "relative fitness {:.3} (latest here / cross-node avg; \
-                             0 = unexplored), locality {:.3}",
-                            fitness, -neg_local
-                        ),
-                    })
-                    .collect(),
-                winner: winner.map(|id| id.0),
-                reason: "lowest relative fitness wins (ties: higher locality, then \
-                         FCFS order)"
-                    .into(),
-            });
+            },
         }
-        winner
-    }
-
-    fn decline(
-        &self,
-        _node: NodeId,
-        node_name: &str,
-        task: &TaskSpec,
-        prov: &ProvenanceManager,
-    ) -> bool {
-        // Decline when this node is known to run the signature much
-        // slower than its cross-node average — wait for a faster host.
-        match (
-            prov.latest_runtime(&task.name, node_name),
-            prov.average_runtime(&task.name),
-        ) {
-            (Some(here), Some(avg)) if avg > 0.0 => here > avg * 1.5,
-            _ => false, // unexplored: accept (and learn)
-        }
-    }
-
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::Adaptive
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver;
     use hiway_lang::{OutputSpec, TaskCost};
     use hiway_provdb::ProvDb;
 
@@ -765,13 +585,96 @@ mod tests {
         });
     }
 
+    /// The node a static plan pinned a task to, read off its container
+    /// request as the RM sees it.
+    fn assigned(s: &StaticScheduler, id: TaskId) -> Option<NodeId> {
+        s.container_request(&task(id.0, "t", &[], &[]), Resource::new(1, 1))
+            .preference
+    }
+
+    /// Task choice as the driver makes it: the policy scores, the fixed
+    /// rule picks.
+    fn pick(
+        s: &dyn Scheduler,
+        node: NodeId,
+        candidates: &[&TaskSpec],
+        hdfs: &Hdfs,
+        prov: &ProvenanceManager,
+    ) -> Option<TaskId> {
+        let name = format!("w{}", node.0);
+        let scores = s.score(node, &name, candidates, hdfs, prov);
+        assert_eq!(scores.of.len(), candidates.len(), "one score per candidate");
+        driver::pick(&scores).map(|i| candidates[i].id)
+    }
+
+    fn scores(lower_wins: bool, of: Vec<Score>) -> Scores {
+        Scores {
+            lower_wins,
+            of,
+            latest_wins_ties: false,
+            reason: "",
+            detail: |_, _| String::new(),
+        }
+    }
+
+    #[test]
+    fn winner_takes_the_best_key_and_the_earliest_tie() {
+        let of = vec![Score::new(2.0), Score::new(5.0), Score::new(5.0)];
+        assert_eq!(driver::pick(&scores(false, of.clone())), Some(1));
+        assert_eq!(driver::pick(&scores(true, of)), Some(0));
+        // `tie` decides between equal keys, in the same orientation.
+        let of = vec![
+            Score::new(1.0),
+            Score {
+                tie: -0.5,
+                ..Score::new(1.0)
+            },
+        ];
+        assert_eq!(driver::pick(&scores(true, of.clone())), Some(1));
+        assert_eq!(driver::pick(&scores(false, of)), Some(0));
+        assert_eq!(driver::pick(&scores(false, Vec::new())), None);
+        let of = vec![Score::new(5.0), Score::new(2.0), Score::new(5.0)];
+        let latest = Scores {
+            latest_wins_ties: true,
+            ..scores(false, of)
+        };
+        assert_eq!(driver::pick(&latest), Some(2));
+    }
+
+    #[test]
+    fn ineligible_candidates_never_win() {
+        let out = Score {
+            reserved_for: Some(NodeId(3)),
+            ..Score::new(9.0)
+        };
+        let of = vec![out, Score::new(1.0)];
+        assert_eq!(driver::pick(&scores(false, of)), Some(1));
+        assert_eq!(driver::pick(&scores(false, vec![out, out])), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "scores are finite")]
+    fn nan_scores_panic() {
+        let of = vec![Score::new(1.0), Score::new(f64::NAN)];
+        driver::pick(&scores(false, of));
+    }
+
     #[test]
     fn fcfs_selects_queue_head() {
-        let mut s = FcfsScheduler;
+        let s = FcfsScheduler;
         let (a, b) = (task(0, "a", &[], &[]), task(1, "b", &[], &[]));
         let hdfs = Hdfs::new(2, Default::default(), 0);
-        assert_eq!(s.select_task(NodeId(0), &[&a, &b], &hdfs), Some(TaskId(0)));
-        assert_eq!(s.select_task(NodeId(0), &[], &hdfs), None);
+        let prov = ProvenanceManager::new(ProvDb::new());
+        assert_eq!(
+            pick(&s, NodeId(0), &[&a, &b], &hdfs, &prov),
+            Some(TaskId(0))
+        );
+        assert_eq!(pick(&s, NodeId(0), &[], &hdfs, &prov), None);
+        // Scores are queue positions; the winner holds position 0.
+        let scores = s.score(NodeId(1), "w1", &[&a, &b], &hdfs, &prov);
+        let keys: Vec<f64> = scores.of.iter().map(|s| s.key).collect();
+        assert_eq!(keys, [0.0, 1.0]);
+        assert_eq!((scores.detail)(&scores.of[1], "w1"), "queue position 1");
         let req = s.container_request(&a, Resource::new(1, 100));
         assert!(req.preference.is_none());
     }
@@ -789,16 +692,26 @@ mod tests {
         hdfs.create("/big2", 100 << 20, NodeId(2)).unwrap();
         let t0 = task(0, "t", &["/big0"], &["/o0"]);
         let t2 = task(1, "t", &["/big2"], &["/o2"]);
-        let mut s = DataAwareScheduler;
+        let s = DataAwareScheduler;
+        let prov = ProvenanceManager::new(ProvDb::new());
         // Container on node 2: the task whose input lives there wins even
         // though t0 is ahead in the queue.
         assert_eq!(
-            s.select_task(NodeId(2), &[&t0, &t2], &hdfs),
+            pick(&s, NodeId(2), &[&t0, &t2], &hdfs, &prov),
             Some(TaskId(1))
         );
         assert_eq!(
-            s.select_task(NodeId(0), &[&t0, &t2], &hdfs),
+            pick(&s, NodeId(0), &[&t0, &t2], &hdfs, &prov),
             Some(TaskId(0))
+        );
+        // The fractions explain the pick: the winner's locality strictly
+        // exceeds its rival's.
+        let scores = s.score(NodeId(2), "w2", &[&t0, &t2], &hdfs, &prov);
+        assert_eq!(scores.of[1].key, 1.0);
+        assert!(scores.of[0].key < 1.0);
+        assert_eq!(
+            (scores.detail)(&scores.of[1], "w2"),
+            "locality fraction 1.000 on w2"
         );
     }
 
@@ -807,8 +720,68 @@ mod tests {
         let hdfs = Hdfs::new(2, Default::default(), 3);
         let a = task(0, "a", &["/nowhere"], &[]);
         let b = task(1, "b", &["/nowhere"], &[]);
-        let mut s = DataAwareScheduler;
-        assert_eq!(s.select_task(NodeId(0), &[&a, &b], &hdfs), Some(TaskId(0)));
+        let prov = ProvenanceManager::new(ProvDb::new());
+        let s = DataAwareScheduler;
+        assert_eq!(
+            pick(&s, NodeId(0), &[&a, &b], &hdfs, &prov),
+            Some(TaskId(0))
+        );
+    }
+
+    #[test]
+    fn adaptive_prefers_the_relatively_faster_task() {
+        let mut prov = ProvenanceManager::new(ProvDb::new());
+        // "slow" is 3x worse on w0 than its average; "fast" is better
+        // than average here — the adaptive policy must prefer "fast".
+        record(&mut prov, "slow", "w0", 300.0);
+        record(&mut prov, "slow", "w1", 100.0);
+        record(&mut prov, "fast", "w0", 50.0);
+        record(&mut prov, "fast", "w1", 100.0);
+        let hdfs = Hdfs::new(2, Default::default(), 0);
+        let slow = task(0, "slow", &[], &[]);
+        let fast = task(1, "fast", &[], &[]);
+        let s = AdaptiveScheduler;
+        assert_eq!(
+            pick(&s, NodeId(0), &[&slow, &fast], &hdfs, &prov),
+            Some(TaskId(1))
+        );
+        // Lower relative fitness wins; the scores show exactly that.
+        let scores = s.score(NodeId(0), "w0", &[&slow, &fast], &hdfs, &prov);
+        assert!(scores.of[1].key < scores.of[0].key);
+    }
+
+    #[test]
+    fn adaptive_declines_only_beyond_one_and_a_half_times_the_average() {
+        let mut prov = ProvenanceManager::new(ProvDb::new());
+        // Average 250s: w0's 400s exceeds 1.5x (375s), w1's 100s does not.
+        record(&mut prov, "t", "w0", 400.0);
+        record(&mut prov, "t", "w1", 100.0);
+        let hdfs = Hdfs::new(2, Default::default(), 0);
+        let t = task(0, "t", &[], &[]);
+        let on = |node: u32| {
+            let name = format!("w{node}");
+            AdaptiveScheduler
+                .score(NodeId(node), &name, &[&t], &hdfs, &prov)
+                .of[0]
+        };
+        assert!(on(0).decline);
+        assert!(!on(1).decline);
+        assert_eq!(on(0).key, 400.0 / 250.0);
+    }
+
+    #[test]
+    fn adaptive_explores_unobserved_pairs_without_declining() {
+        let mut prov = ProvenanceManager::new(ProvDb::new());
+        record(&mut prov, "seen", "w1", 100.0);
+        let hdfs = Hdfs::new(2, Default::default(), 0);
+        let seen = task(0, "seen", &[], &[]);
+        let scores = AdaptiveScheduler.score(NodeId(0), "w0", &[&seen], &hdfs, &prov);
+        assert_eq!((scores.of[0].key, scores.of[0].decline), (0.0, false));
+        assert_eq!(
+            (scores.detail)(&scores.of[0], "w0"),
+            "relative fitness 0.000 (latest here / cross-node avg; 0 = unexplored), \
+             locality 0.000"
+        );
     }
 
     #[test]
@@ -820,16 +793,31 @@ mod tests {
         s.plan(&tasks, &nodes, &names(3), &prov, &Tracer::disabled(), 0.0);
         let mut counts = [0usize; 3];
         for t in &tasks {
-            counts[s.assigned_node(t.id).unwrap().index()] += 1;
+            counts[assigned(&s, t.id).unwrap().index()] += 1;
         }
         assert_eq!(counts, [2, 2, 2]);
         // Requests are pinned; selection honours the assignment.
         let req = s.container_request(&tasks[4], Resource::new(1, 100));
         assert_eq!(req.preference, Some(NodeId(1)));
         assert!(!req.relax_locality);
+        // Selection honours the assignment: only tasks planned for w1 are
+        // eligible there, and they score 1.
         let hdfs = Hdfs::new(3, Default::default(), 0);
         let refs: Vec<&TaskSpec> = tasks.iter().collect();
-        assert_eq!(s.select_task(NodeId(1), &refs, &hdfs), Some(TaskId(1)));
+        assert_eq!(pick(&s, NodeId(1), &refs, &hdfs, &prov), Some(TaskId(1)));
+        let scores = s.score(NodeId(1), "w1", &refs, &hdfs, &prov);
+        assert_eq!(scores.of[1].key, 1.0);
+        assert_eq!(scores.of[0].key, 0.0);
+        assert_eq!(scores.of[0].reserved_for, Some(NodeId(0)));
+        assert_eq!((scores.detail)(&scores.of[0], "w1"), "planned for node 0");
+        assert_eq!((scores.detail)(&scores.of[1], "w1"), "planned for w1");
+        // A task outside the plan fills a spare container (score 0.5).
+        let extra = task(9, "t", &[], &[]);
+        let scores = s.score(NodeId(1), "w1", &[&tasks[0], &extra], &hdfs, &prov);
+        assert_eq!(scores.of[1].key, 0.5);
+        assert_eq!(driver::pick(&scores), Some(1));
+        // Nothing eligible here: no winner.
+        assert_eq!(pick(&s, NodeId(2), &[&tasks[0]], &hdfs, &prov), None);
     }
 
     #[test]
@@ -841,7 +829,7 @@ mod tests {
         s.plan(&tasks, &nodes, &names(2), &prov, &Tracer::disabled(), 0.0);
         let mut counts = [0usize; 2];
         for t in &tasks {
-            counts[s.assigned_node(t.id).unwrap().index()] += 1;
+            counts[assigned(&s, t.id).unwrap().index()] += 1;
         }
         // All-zero estimates: load tie-breaking spreads tasks evenly.
         assert_eq!(counts, [2, 2]);
@@ -860,64 +848,8 @@ mod tests {
         // EFTs: placing everything on w0 serially (10,20,30,40) beats
         // w1's 100 each time.
         for t in &tasks {
-            assert_eq!(s.assigned_node(t.id), Some(NodeId(0)));
+            assert_eq!(assigned(&s, t.id), Some(NodeId(0)));
         }
-    }
-
-    #[test]
-    fn fcfs_audit_matches_placement() {
-        let tracer = Tracer::enabled();
-        let mut s = FcfsScheduler;
-        let (a, b) = (task(0, "a", &[], &[]), task(1, "b", &[], &[]));
-        let hdfs = Hdfs::new(2, Default::default(), 0);
-        let prov = ProvenanceManager::new(ProvDb::new());
-        let picked =
-            s.select_task_with_stats(NodeId(1), "w1", &[&a, &b], &hdfs, &prov, &tracer, 7.5);
-        assert_eq!(picked, Some(TaskId(0)));
-        tracer.with_decisions(|ds| {
-            assert_eq!(ds.len(), 1);
-            let d = &ds[0];
-            assert_eq!(d.policy, "fcfs");
-            assert_eq!(d.kind, DecisionKind::Select);
-            assert_eq!(d.t, 7.5);
-            assert_eq!((d.node, d.node_name.as_str()), (1, "w1"));
-            assert_eq!(d.winner, Some(0));
-            // Scores are queue positions; the winner holds position 0.
-            assert_eq!(d.candidates.len(), 2);
-            assert_eq!(d.winning_candidate().unwrap().score, 0.0);
-            assert_eq!(d.candidates[1].score, 1.0);
-        });
-    }
-
-    #[test]
-    fn data_aware_audit_matches_placement() {
-        let config = hiway_hdfs::HdfsConfig {
-            replication: 1,
-            ..Default::default()
-        };
-        let mut hdfs = Hdfs::new(4, config, 3);
-        hdfs.create("/big0", 100 << 20, NodeId(0)).unwrap();
-        hdfs.create("/big2", 100 << 20, NodeId(2)).unwrap();
-        let t0 = task(0, "t", &["/big0"], &["/o0"]);
-        let t2 = task(1, "t", &["/big2"], &["/o2"]);
-        let tracer = Tracer::enabled();
-        let prov = ProvenanceManager::new(ProvDb::new());
-        let mut s = DataAwareScheduler;
-        let picked =
-            s.select_task_with_stats(NodeId(2), "w2", &[&t0, &t2], &hdfs, &prov, &tracer, 1.0);
-        assert_eq!(picked, Some(TaskId(1)));
-        tracer.with_decisions(|ds| {
-            let d = &ds[0];
-            assert_eq!(d.policy, "data-aware");
-            assert_eq!(d.winner, Some(1));
-            // The logged fractions explain the pick: the winner's locality
-            // strictly exceeds every rival's.
-            let win = d.winning_candidate().unwrap().score;
-            assert_eq!(win, 1.0);
-            for c in d.candidates.iter().filter(|c| c.task != 1) {
-                assert!(c.score < win, "{} !< {}", c.score, win);
-            }
-        });
     }
 
     #[test]
@@ -935,7 +867,7 @@ mod tests {
                 assert_eq!(d.kind, DecisionKind::Plan);
                 assert_eq!(d.winner, Some(i as u64));
                 // The audited node is the node actually assigned.
-                let assigned = s.assigned_node(TaskId(i as u64)).unwrap();
+                let assigned = assigned(&s, TaskId(i as u64)).unwrap();
                 assert_eq!(d.node, assigned.0);
                 assert_eq!(d.candidates.len(), 3, "all nodes scored");
             }
@@ -959,7 +891,7 @@ mod tests {
                 assert_eq!(d.kind, DecisionKind::Plan);
                 let winner = d.winner.unwrap();
                 // Audit agrees with the actual plan...
-                assert_eq!(d.node, s.assigned_node(TaskId(winner)).unwrap().0);
+                assert_eq!(d.node, assigned(&s, TaskId(winner)).unwrap().0);
                 // ...and the chosen node has the minimum logged EFT.
                 let chosen = d
                     .candidates
@@ -971,70 +903,6 @@ mod tests {
                 }
             }
         });
-    }
-
-    #[test]
-    fn static_select_confirmation_is_audited() {
-        let tracer = Tracer::enabled();
-        let mut s = StaticScheduler::new(SchedulerPolicy::RoundRobin);
-        let tasks: Vec<TaskSpec> = (0..2).map(|i| task(i, "t", &[], &[])).collect();
-        let nodes = vec![NodeId(0), NodeId(1)];
-        let prov = ProvenanceManager::new(ProvDb::new());
-        s.plan(&tasks, &nodes, &names(2), &prov, &Tracer::disabled(), 0.0);
-        let hdfs = Hdfs::new(2, Default::default(), 0);
-        let refs: Vec<&TaskSpec> = tasks.iter().collect();
-        let picked = s.select_task_with_stats(NodeId(1), "w1", &refs, &hdfs, &prov, &tracer, 3.0);
-        assert_eq!(picked, Some(TaskId(1)));
-        tracer.with_decisions(|ds| {
-            let d = &ds[0];
-            assert_eq!(d.kind, DecisionKind::Select);
-            assert_eq!(d.winner, Some(1));
-            // Planned-here candidates score 1, elsewhere 0.
-            assert_eq!(d.winning_candidate().unwrap().score, 1.0);
-            assert_eq!(
-                d.candidates.iter().find(|c| c.task == 0).unwrap().score,
-                0.0
-            );
-        });
-    }
-
-    #[test]
-    fn adaptive_audit_matches_placement() {
-        let mut prov = ProvenanceManager::new(ProvDb::new());
-        // "slow" is 3x worse on w0 than its average; "fast" is better
-        // than average here — the adaptive policy must prefer "fast".
-        record(&mut prov, "slow", "w0", 300.0);
-        record(&mut prov, "slow", "w1", 100.0);
-        record(&mut prov, "fast", "w0", 50.0);
-        record(&mut prov, "fast", "w1", 100.0);
-        let hdfs = Hdfs::new(2, Default::default(), 0);
-        let slow = task(0, "slow", &[], &[]);
-        let fast = task(1, "fast", &[], &[]);
-        let tracer = Tracer::enabled();
-        let mut s = AdaptiveScheduler;
-        let picked =
-            s.select_task_with_stats(NodeId(0), "w0", &[&slow, &fast], &hdfs, &prov, &tracer, 2.0);
-        assert_eq!(picked, Some(TaskId(1)));
-        tracer.with_decisions(|ds| {
-            let d = &ds[0];
-            assert_eq!(d.policy, "adaptive");
-            assert_eq!(d.winner, Some(1));
-            // Lower relative fitness wins; the log shows exactly that.
-            let win = d.winning_candidate().unwrap().score;
-            let lose = d.candidates.iter().find(|c| c.task == 0).unwrap().score;
-            assert!(win < lose, "{win} !< {lose}");
-        });
-    }
-
-    #[test]
-    fn disabled_tracer_logs_no_decisions() {
-        let tracer = Tracer::disabled();
-        let mut s = FcfsScheduler;
-        let a = task(0, "a", &[], &[]);
-        let hdfs = Hdfs::new(1, Default::default(), 0);
-        let prov = ProvenanceManager::new(ProvDb::new());
-        s.select_task_with_stats(NodeId(0), "w0", &[&a], &hdfs, &prov, &tracer, 0.0);
-        assert_eq!(tracer.decision_count(), 0);
     }
 
     #[test]
@@ -1058,8 +926,8 @@ mod tests {
         s.plan(&tasks, &nodes, &names(2), &prov, &Tracer::disabled(), 0.0);
         // `long` has the highest upward rank (101) and is placed first on
         // an empty node; `short` lands on the other node.
-        let long_node = s.assigned_node(TaskId(1)).unwrap();
-        let short_node = s.assigned_node(TaskId(0)).unwrap();
+        let long_node = assigned(&s, TaskId(1)).unwrap();
+        let short_node = assigned(&s, TaskId(0)).unwrap();
         assert_ne!(long_node, short_node);
     }
 }

@@ -174,6 +174,9 @@ fn static_scheduler_rejects_iterative_language() {
     rt.run_to_completion();
     let err = rt.error_of(idx).expect("must fail");
     assert!(err.contains("static scheduling policy"), "{err}");
+    // The refused AM still gives its container back.
+    assert_eq!(rt.cluster.rm.running_containers(), 0);
+    assert_eq!(rt.cluster.rm.pending_requests(), 0);
 }
 
 #[test]
@@ -238,18 +241,22 @@ fn retry_exhaustion_fails_the_workflow() {
         task_retries: 2,
         ..HiwayConfig::default()
     };
+    // More tasks than worker slots: some still wait for a container when
+    // the first one exhausts its budget.
+    let tasks: Vec<TaskSpec> = (0..8)
+        .map(|i| task(i, "t", &["/in"], &[(&format!("/o{i}"), 1)], 1.0))
+        .collect();
     let idx = rt.submit(
-        Box::new(StaticWorkflow::new(
-            "doomed",
-            "test",
-            vec![task(0, "t", &["/in"], &[("/o", 1)], 1.0)],
-        )),
+        Box::new(StaticWorkflow::new("doomed", "test", tasks)),
         config,
         ProvDb::new(),
     );
     rt.run_to_completion();
     let err = rt.error_of(idx).expect("must fail");
     assert!(err.contains("failed too many times"), "{err}");
+    // The failed workflow holds no lease and leaves no request behind.
+    assert_eq!(rt.cluster.rm.running_containers(), 0);
+    assert_eq!(rt.cluster.rm.pending_requests(), 0);
 }
 
 #[test]
@@ -323,6 +330,9 @@ fn missing_input_stalls_with_diagnostic() {
     rt.run_to_completion();
     let err = rt.error_of(idx).expect("must stall");
     assert!(err.contains("stalled"), "{err}");
+    // A stalled workflow is torn down like any failed one: no leases left.
+    assert_eq!(rt.cluster.rm.running_containers(), 0);
+    assert_eq!(rt.cluster.rm.pending_requests(), 0);
 }
 
 #[test]
@@ -497,6 +507,63 @@ fn adaptive_scheduler_runs_iterative_workflows_and_learns() {
 }
 
 #[test]
+fn adaptive_declines_a_slow_node_at_most_three_times() {
+    // Provenance says w-1 runs "sig" far slower than its cross-node
+    // average (100s vs avg 55s > 1.5x). Node 0 can host only the AM, so
+    // every worker container lands on w-1: the adaptive policy declines
+    // it until the per-task bound is hit, then runs the task there.
+    let db = ProvDb::new();
+    let mut prov = hiway_core::ProvenanceManager::new(db.clone());
+    for (node, secs) in [("w-0", 10.0), ("w-1", 100.0)] {
+        prov.record_task(hiway_lang::trace::TaskEvent {
+            id: 0,
+            name: "sig".into(),
+            command: "sig".into(),
+            inputs: vec![],
+            outputs: vec![],
+            cpu_seconds: secs,
+            threads: 1,
+            memory_mb: 1,
+            node: node.into(),
+            t_start: 0.0,
+            t_end: secs,
+            attempts: 1,
+            stdout: String::new(),
+            stderr: String::new(),
+        });
+    }
+    let mut cluster = small_cluster(2);
+    let config = HiwayConfig::default().with_scheduler(SchedulerPolicy::Adaptive);
+    cluster.rm.set_capacity(NodeId(0), config.am_resource);
+    cluster.prestage("/in", 1 << 20);
+    let mut rt = Runtime::new(cluster);
+    let tracer = hiway_obs::Tracer::enabled();
+    rt.set_tracer(&tracer);
+    let idx = rt.submit(
+        Box::new(StaticWorkflow::new(
+            "decline",
+            "test",
+            vec![task(0, "sig", &["/in"], &[("/o", 1 << 10)], 5.0)],
+        )),
+        config,
+        db,
+    );
+    let reports = rt.run_to_completion();
+    assert!(rt.error_of(idx).is_none(), "{:?}", rt.error_of(idx));
+    assert_eq!(reports[idx].tasks.len(), 1, "the declined task still runs");
+    assert_eq!(reports[idx].tasks[0].node, "w-1");
+    // Every container offer on w-1 picked the task; all but the last were
+    // declined.
+    let offers = tracer.with_decisions(|ds| {
+        ds.iter()
+            .filter(|d| d.kind == hiway_obs::DecisionKind::Select)
+            .filter(|d| d.node_name == "w-1" && d.winner == Some(0))
+            .count()
+    });
+    assert_eq!(offers - 1, 3, "declined up to the bound of 3, never beyond");
+}
+
+#[test]
 fn scratch_io_extends_execution_on_local_disk() {
     // Two identical tasks, one with 1 GiB of working-directory I/O: the
     // scratch round-trip (write + read back on the local disk) must show
@@ -588,6 +655,9 @@ fn am_node_loss_fails_the_workflow_cleanly() {
     rt.run_to_completion();
     let err = rt.error_of(idx).expect("AM loss fails the workflow");
     assert!(err.contains("AM container lost"), "{err}");
+    // The workers the dead AM leased on surviving nodes are released.
+    assert_eq!(rt.cluster.rm.running_containers(), 0);
+    assert_eq!(rt.cluster.rm.pending_requests(), 0);
 }
 
 #[test]

@@ -54,6 +54,8 @@ struct Outcome {
     task_failures: u32,
     injected: Vec<(u64, String)>,
     skipped: u32,
+    /// Container leases still held once the run is over.
+    running_containers: usize,
 }
 
 fn chaos_run(width: usize, depth: usize, nodes: usize, intensity: f64, seed: u64) -> Outcome {
@@ -108,6 +110,7 @@ fn chaos_run(width: usize, depth: usize, nodes: usize, intensity: f64, seed: u64
             .map(|(t, what)| (t.to_bits(), what.clone()))
             .collect(),
         skipped: injector.skipped,
+        running_containers: rt.cluster.rm.running_containers(),
     }
     .check(total)
 }
@@ -125,6 +128,10 @@ impl Outcome {
             }
             Some(msg) => assert!(!msg.is_empty(), "failures carry a diagnostic"),
         }
+        assert_eq!(
+            self.running_containers, 0,
+            "every way a run ends releases its leases"
+        );
         assert!(self.wasted >= 0.0 && self.wasted.is_finite());
         if self.wasted > 0.0 {
             // Waste only comes from failed attempts or cancelled twins.

@@ -322,6 +322,20 @@ impl ResourceManager {
         removed
     }
 
+    /// Withdraws every pending request of `app` (the application is being
+    /// torn down); returns how many were withdrawn.
+    pub fn withdraw_requests(&mut self, app: AppId) -> usize {
+        let before = self.queue.len();
+        self.queue.retain(|_, p| p.app != app);
+        let withdrawn = before - self.queue.len();
+        if withdrawn > 0 {
+            self.tracer.inc("rm.requests_cancelled", withdrawn as u64);
+            self.tracer
+                .set_gauge("rm.pending_requests", self.queue.len() as f64);
+        }
+        withdrawn
+    }
+
     pub fn pending_requests(&self) -> usize {
         self.queue.len()
     }
