@@ -47,49 +47,26 @@ for sched in fcfs data-aware round-robin heft adaptive; do
 done
 echo "trace artifacts byte-identical across runs for all five policies"
 
-echo "==> chaos determinism gate (same seed, twice, byte-identical)"
-./target/release/chaos > /tmp/chaos_run1.txt
-./target/release/chaos > /tmp/chaos_run2.txt
-if ! cmp -s /tmp/chaos_run1.txt /tmp/chaos_run2.txt; then
-  echo "FAIL: chaos experiment is not deterministic across runs" >&2
-  diff /tmp/chaos_run1.txt /tmp/chaos_run2.txt >&2 || true
-  exit 1
-fi
-if ! cmp -s /tmp/chaos_run1.txt results/chaos.txt; then
-  echo "FAIL: chaos output drifted from results/chaos.txt" >&2
-  diff results/chaos.txt /tmp/chaos_run1.txt >&2 || true
-  exit 1
-fi
-echo "chaos deterministic, matches results/chaos.txt"
-
-echo "==> multi-tenancy fairness gate (same seed, twice, byte-identical)"
-./target/release/multiwf > /tmp/multiwf_run1.txt
-./target/release/multiwf > /tmp/multiwf_run2.txt
-if ! cmp -s /tmp/multiwf_run1.txt /tmp/multiwf_run2.txt; then
-  echo "FAIL: multiwf experiment is not deterministic across runs" >&2
-  diff /tmp/multiwf_run1.txt /tmp/multiwf_run2.txt >&2 || true
-  exit 1
-fi
-if ! cmp -s /tmp/multiwf_run1.txt results/multiwf.txt; then
-  echo "FAIL: multiwf output drifted from results/multiwf.txt" >&2
-  diff results/multiwf.txt /tmp/multiwf_run1.txt >&2 || true
-  exit 1
-fi
-echo "multiwf deterministic, matches results/multiwf.txt"
-
-echo "==> crash-and-resume determinism gate (same seed, twice, byte-identical)"
-./target/release/resume > /tmp/resume_run1.txt
-./target/release/resume > /tmp/resume_run2.txt
-if ! cmp -s /tmp/resume_run1.txt /tmp/resume_run2.txt; then
-  echo "FAIL: resume experiment is not deterministic across runs" >&2
-  diff /tmp/resume_run1.txt /tmp/resume_run2.txt >&2 || true
-  exit 1
-fi
-if ! cmp -s /tmp/resume_run1.txt results/resume.txt; then
-  echo "FAIL: resume output drifted from results/resume.txt" >&2
-  diff results/resume.txt /tmp/resume_run1.txt >&2 || true
-  exit 1
-fi
-echo "resume deterministic, matches results/resume.txt"
+echo "==> experiment gate (each bin twice, byte-identical, matching results/)"
+# The paper's figures and tables plus the chaos, multi-tenancy and
+# crash-and-resume experiments; fig4, table2 and fig6 (~20-30 s each)
+# stay out of CI.
+out=$(mktemp -d)
+for bin in chaos multiwf resume fig8 fig9 table1 ablation; do
+  ./target/release/"$bin" > "$out/$bin.1.txt"
+  ./target/release/"$bin" > "$out/$bin.2.txt"
+  if ! cmp -s "$out/$bin.1.txt" "$out/$bin.2.txt"; then
+    echo "FAIL: $bin is not deterministic across runs" >&2
+    diff "$out/$bin.1.txt" "$out/$bin.2.txt" >&2 || true
+    exit 1
+  fi
+  if ! cmp -s "$out/$bin.1.txt" "results/$bin.txt"; then
+    echo "FAIL: $bin output drifted from results/$bin.txt" >&2
+    diff "results/$bin.txt" "$out/$bin.1.txt" >&2 || true
+    exit 1
+  fi
+  echo "$bin deterministic, matches results/$bin.txt"
+done
+rm -rf "$out"
 
 echo "CI OK"

@@ -1,7 +1,8 @@
 //! Provenance-store benchmark: append throughput (in-memory vs durable
-//! WAL), indexed vs scan lookups, batched vs per-line import, and
-//! recovery time against log size. Emits `BENCH_provdb.json` for
-//! regression tracking.
+//! WAL), the scheduler's two estimate queries on a growing store with and
+//! without the `name` index, batched vs per-line import, and recovery
+//! time against log size. Emits `BENCH_provdb.json` for regression
+//! tracking.
 //!
 //! Usage: `bench_provdb [--quick] [output.json]`
 
@@ -9,25 +10,60 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use hiway_format::json::Json;
-use hiway_provdb::ProvDb;
+use hiway_provdb::{Aggregate, Collection, Op, ProvDb};
 
-/// A provenance-event-shaped document, deterministic in `i`.
+/// Task signatures and nodes of the synthetic store (coprime counts, so
+/// every signature is observed on every node).
+const SIGNATURES: u64 = 17;
+const NODES: u64 = 11;
+
+/// A memoized `task_events` document, deterministic in `i`.
 fn doc(i: u64) -> Json {
+    let makespan = (i % 97) as f64 + 0.5;
     Json::object()
-        .with("event", "task-completed")
+        .with("name", format!("mProjectPP_{}", i % SIGNATURES))
+        .with("node", format!("w-{}", i % NODES))
+        .with("makespan", makespan)
+        .with("t_start", i as f64)
+        .with("t_end", i as f64 + makespan)
+        .with("attempts", 1u64)
+        .with("command", format!("mProjectPP image_{i}.fits"))
         .with(
             "key",
             format!("{:016x}", i.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
         )
-        .with("name", format!("mProjectPP_{}", i % 17))
-        .with("node", format!("w-{}", i % 11))
-        .with("makespan", (i % 97) as f64 + 0.5)
         .with(
             "outputs",
             Json::Array(vec![Json::object()
                 .with("path", format!("proj/image_{i}.fits"))
-                .with("bytes", 4_194_304u64)]),
+                .with("size", 4_194_304u64)]),
         )
+}
+
+/// Seconds per query of HEFT's and adaptive's estimate lookups on `col`:
+/// the latest runtime of a signature on a node, and its average runtime.
+fn estimate_queries(col: &Collection, ops: u64, runs: usize) -> (f64, f64) {
+    let sig = |k: u64| format!("mProjectPP_{}", k % SIGNATURES);
+    let last = best_of(runs, || {
+        for k in 0..ops {
+            let latest = col
+                .query()
+                .filter("name", Op::Eq, sig(k))
+                .filter("node", Op::Eq, format!("w-{}", k % NODES))
+                .last();
+            assert!(latest.is_some());
+        }
+    });
+    let avg = best_of(runs, || {
+        for k in 0..ops {
+            let avg = col
+                .query()
+                .filter("name", Op::Eq, sig(k))
+                .aggregate("makespan", Aggregate::Avg);
+            assert!(avg.is_some());
+        }
+    });
+    (last / ops as f64, avg / ops as f64)
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -56,12 +92,8 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_provdb.json".to_string());
 
-    let (n_docs, n_lookups, runs) = if quick {
-        (5_000u64, 2_000u64, 2)
-    } else {
-        (50_000u64, 20_000u64, 3)
-    };
-    println!("provenance store benchmark: {n_docs} docs, {n_lookups} lookups, best of {runs}");
+    let (n_docs, runs) = if quick { (5_000u64, 2) } else { (50_000u64, 3) };
+    println!("provenance store benchmark: {n_docs} docs, best of {runs}");
 
     // --- append throughput: in-memory vs durable WAL ---------------------
     let mem_secs = best_of(runs, || {
@@ -88,52 +120,34 @@ fn main() {
     let wal_dps = n_docs as f64 / wal_secs;
     println!("  append durable:   {wal_dps:>9.0} docs/sec ({wal_secs:.3}s)");
 
-    // --- lookups: hash index vs full scan --------------------------------
-    let db = ProvDb::new();
-    let col = db.collection("events");
-    let mut batch = Vec::with_capacity(n_docs as usize);
-    for i in 0..n_docs {
-        batch.push(doc(i));
+    // --- estimate queries on a growing store, unindexed vs indexed ------
+    let (query_sizes, query_ops): (Vec<u64>, u64) = if quick {
+        (vec![500, 5_000], 200)
+    } else {
+        (vec![2_000, 10_000, 50_000], 1_000)
+    };
+    let mut queries = Vec::new();
+    for &size in &query_sizes {
+        let col = ProvDb::new().collection("task_events");
+        col.insert_many((0..size).map(doc).collect());
+        let (last_scan, avg_scan) = estimate_queries(&col, query_ops, runs);
+        col.create_index("name");
+        let (last_index, avg_index) = estimate_queries(&col, query_ops, runs);
+        println!(
+            "  {size:>6} docs: latest {:>7.2} / {:>6.2} us, avg {:>8.2} / {:>7.2} us \
+             (unindexed / indexed)",
+            last_scan * 1e6,
+            last_index * 1e6,
+            avg_scan * 1e6,
+            avg_index * 1e6
+        );
+        queries.push((size, last_scan, last_index, avg_scan, avg_index));
     }
-    col.insert_many(batch);
-    // Point lookups by unique key — the memo layer's hot path.
-    let probe = Json::String(format!(
-        "{:016x}",
-        4321u64.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    ));
-    let scan_secs = best_of(runs, || {
-        // No index on "key" yet: find_eq falls back to a full scan.
-        let mut total = 0usize;
-        for _ in 0..n_lookups / 100 {
-            total += col.find_eq("key", &probe).len();
-        }
-        assert_eq!(total, n_lookups as usize / 100);
-    });
-    let scan_per = scan_secs / (n_lookups as f64 / 100.0);
-    col.create_index("key");
-    let index_secs = best_of(runs, || {
-        let mut total = 0usize;
-        for _ in 0..n_lookups {
-            total += col.find_eq("key", &probe).len();
-        }
-        assert_eq!(total, n_lookups as usize);
-    });
-    let index_per = index_secs / n_lookups as f64;
-    println!(
-        "  lookup scan:    {:>9.1} us/op; indexed: {:>7.1} us/op ({:.0}x)",
-        scan_per * 1e6,
-        index_per * 1e6,
-        scan_per / index_per
-    );
 
     // --- import: one batch vs a per-line insert loop ---------------------
-    // Pre-parsed so the comparison isolates the insert path (per-line
+    // Pre-built so the comparison isolates the insert path (per-line
     // lock + WAL acquisition vs one batch guard), not JSON parsing.
-    let parsed: Vec<Json> = col
-        .export_jsonl()
-        .lines()
-        .map(|l| Json::parse(l).expect("own dump"))
-        .collect();
+    let parsed: Vec<Json> = (0..n_docs).map(doc).collect();
     // Store setup/teardown happens outside the timed region — deleting a
     // WAL directory is filesystem noise, not import cost.
     let import_dir = scratch("import");
@@ -167,8 +181,8 @@ fn main() {
         line_secs / batch_secs
     );
     // Same comparison with concurrent readers (the provenance store's
-    // real situation: memo lookups and scheduler estimate scans run
-    // against the collection while a dump imports). Per-line inserts
+    // real situation: scheduler estimate queries run against the
+    // collection while a dump imports). Per-line inserts
     // release and re-acquire the write lock between every document, so
     // each scan slips in and stretches the import; the batched path takes
     // the guard once.
@@ -185,10 +199,13 @@ fn main() {
                 for _ in 0..2 {
                     let reader = fresh.clone();
                     let stop = &stop;
-                    let probe = probe.clone();
                     s.spawn(move || {
                         while !stop.load(Ordering::Relaxed) {
-                            let _ = reader.find_eq("key", &probe); // unindexed: full scan
+                            // Unindexed: a full scan under the read lock.
+                            let _ = reader
+                                .query()
+                                .filter("name", Op::Eq, "mProjectPP_3")
+                                .aggregate("makespan", Aggregate::Avg);
                         }
                     });
                 }
@@ -261,12 +278,22 @@ fn main() {
             )
         })
         .collect();
+    let query_json: Vec<String> = queries
+        .iter()
+        .map(|(size, last_scan, last_index, avg_scan, avg_index)| {
+            format!(
+                "    {{ \"docs\": {size}, \"latest_unindexed_us\": {:.3}, \"latest_indexed_us\": {:.3}, \"avg_unindexed_us\": {:.3}, \"avg_indexed_us\": {:.3} }}",
+                last_scan * 1e6,
+                last_index * 1e6,
+                avg_scan * 1e6,
+                avg_index * 1e6
+            )
+        })
+        .collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"provdb\",\n  \"docs\": {n_docs},\n  \"append\": {{\n    \"in_memory_docs_per_sec\": {mem_dps:.1},\n    \"durable_docs_per_sec\": {wal_dps:.1},\n    \"wal_overhead_frac\": {:.4}\n  }},\n  \"lookup\": {{\n    \"scan_us_per_op\": {:.2},\n    \"indexed_us_per_op\": {:.2},\n    \"speedup\": {:.1}\n  }},\n  \"import\": {{\n    \"per_line_secs\": {line_secs:.6},\n    \"batched_secs\": {batch_secs:.6},\n    \"speedup\": {:.2},\n    \"contended_per_line_secs\": {cont_line_secs:.6},\n    \"contended_batched_secs\": {cont_batch_secs:.6},\n    \"contended_speedup\": {:.2}\n  }},\n  \"recovery\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"provdb\",\n  \"docs\": {n_docs},\n  \"append\": {{\n    \"in_memory_docs_per_sec\": {mem_dps:.1},\n    \"durable_docs_per_sec\": {wal_dps:.1},\n    \"wal_overhead_frac\": {:.4}\n  }},\n  \"estimate_queries\": [\n{}\n  ],\n  \"import\": {{\n    \"per_line_secs\": {line_secs:.6},\n    \"batched_secs\": {batch_secs:.6},\n    \"speedup\": {:.2},\n    \"contended_per_line_secs\": {cont_line_secs:.6},\n    \"contended_batched_secs\": {cont_batch_secs:.6},\n    \"contended_speedup\": {:.2}\n  }},\n  \"recovery\": [\n{}\n  ]\n}}\n",
         wal_secs / mem_secs - 1.0,
-        scan_per * 1e6,
-        index_per * 1e6,
-        scan_per / index_per,
+        query_json.join(",\n"),
         line_secs / batch_secs,
         cont_line_secs / cont_batch_secs,
         recovery_json.join(",\n"),

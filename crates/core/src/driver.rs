@@ -41,7 +41,7 @@ use hiway_yarn::{AppId, Container, ContainerId, ContainerRequest};
 
 use crate::cluster::{Cluster, Tag};
 use crate::config::HiwayConfig;
-use crate::memo::{memo_key, MemoHit, MemoStore};
+use crate::memo::{memo_key, MemoHit};
 use crate::provenance::ProvenanceManager;
 use crate::report::{TaskReport, WorkflowReport};
 use crate::scheduler::{make_scheduler, Scheduler, Scores};
@@ -196,16 +196,19 @@ struct Am {
     infra_failures: u32,
     task_failures: u32,
     speculative_attempts: u32,
-    /// Memo layer over the provenance database. Present whenever the run
-    /// records or consumes cross-run invocation memos (`resume` flag or a
-    /// durable `provdb_path`); lookups additionally require `resume`.
-    memo: Option<MemoStore>,
     /// Completed invocations satisfied from the warm store this run.
     memo_hits: u64,
     memo_saved_secs: f64,
 }
 
 impl Am {
+    /// Whether committed invocations are memoized: whenever this run
+    /// could feed (or is) a resume — an explicit resume flag, or any
+    /// durable store. Lookups additionally require `resume`.
+    fn memoizes(&self) -> bool {
+        self.config.resume || self.config.provdb_path.is_some()
+    }
+
     fn active(&self) -> bool {
         !self.done && self.error.is_none()
     }
@@ -242,7 +245,7 @@ impl Am {
 
 /// The driver's one selection rule over a policy's scores: the best
 /// `(key, tie)` among the eligible candidates wins, and full ties go to
-/// the earliest-ready one (the latest-ready one under `latest_wins_ties`).
+/// the earliest-ready one.
 pub(crate) fn pick(scores: &Scores) -> Option<usize> {
     let better = if scores.lower_wins {
         Ordering::Less
@@ -259,7 +262,7 @@ pub(crate) fn pick(scores: &Scores) -> Option<usize> {
                     .partial_cmp(&b.key)
                     .expect("scores are finite")
                     .then_with(|| s.tie.partial_cmp(&b.tie).expect("scores are finite"));
-                ord == better || (ord == Ordering::Equal && scores.latest_wins_ties)
+                ord == better
             });
         if beats {
             best = Some(i);
@@ -413,10 +416,6 @@ impl Runtime {
         let seed = config.seed ^ (self.ams.len() as u64).wrapping_mul(0x9e37_79b9);
         let scheduler = make_scheduler(config.scheduler);
         let t_submit = self.cluster.engine.now().as_secs();
-        // Memos are maintained whenever this run could feed (or is) a
-        // resume: an explicit resume flag, or any durable store.
-        let memo = (config.resume || config.provdb_path.is_some())
-            .then(|| MemoStore::new(prov_db.clone()));
         self.ams.push(Am {
             app,
             source,
@@ -440,7 +439,6 @@ impl Runtime {
             infra_failures: 0,
             task_failures: 0,
             speculative_attempts: 0,
-            memo,
             memo_hits: 0,
             memo_saved_secs: 0.0,
         });
@@ -1172,9 +1170,8 @@ impl Runtime {
     /// exactly the outputs the current spec declares — a changed workflow
     /// definition falls back to real execution.
     fn memo_lookup(&self, wf: usize, task_id: TaskId) -> Option<(String, MemoHit)> {
-        let memo = self.ams[wf].memo.as_ref()?;
         let key = self.memo_key_for(wf, task_id)?;
-        let hit = memo.lookup(&key)?;
+        let hit = self.ams[wf].prov.memo_hit(&key)?;
         let spec = &self.ams[wf].tasks[&task_id].spec;
         let declared: Vec<(String, u64)> = spec
             .outputs
@@ -1800,31 +1797,10 @@ impl Runtime {
         };
         self.containers.remove(&container.id);
         self.cluster.rm.release(container.id);
-        self.ams[wf].prov.record_task(event);
-        // Memoize the committed invocation: with a durable store this
-        // lands in the WAL right now, so a crash immediately after the
-        // output commit still leaves a resumable record.
-        if self.ams[wf].memo.is_some() {
-            if let Some(key) = self.memo_key_for(wf, task_id) {
-                let node_name = self.cluster.node_name(container.node).to_string();
-                let am = &self.ams[wf];
-                let task = &am.tasks[&task_id];
-                let outputs: Vec<(String, u64)> = task
-                    .spec
-                    .outputs
-                    .iter()
-                    .map(|o| (o.path.clone(), o.size))
-                    .collect();
-                let makespan = (task.t_end - task.t_start).max(0.0);
-                am.memo.as_ref().expect("checked").record(
-                    &key,
-                    &task.spec.name,
-                    &node_name,
-                    &outputs,
-                    makespan,
-                );
-            }
-        }
+        // Memoize the committed invocation in its task-event document.
+        let memoizes = self.ams[wf].memoizes();
+        let key = memoizes.then(|| self.memo_key_for(wf, task_id)).flatten();
+        self.ams[wf].prov.record_task(event, key.as_deref());
         self.ams[wf].reports.push(report);
         self.charge_master_overhead(false);
 

@@ -37,6 +37,6 @@ pub use cluster::Cluster;
 pub use config::{HiwayConfig, SchedulerPolicy};
 pub use driver::Runtime;
 pub use faults::{FaultConfig, FaultInjector, FaultPlan};
-pub use memo::{memo_key, MemoHit, MemoStore};
+pub use memo::{memo_key, MemoHit};
 pub use provenance::ProvenanceManager;
 pub use report::{TaskReport, WorkflowReport};

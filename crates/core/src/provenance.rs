@@ -16,11 +16,35 @@ use hiway_format::json::Json;
 use hiway_lang::trace::{FileEvent, TaskEvent, TraceEvent, WorkflowEvent};
 use hiway_provdb::{Aggregate, Op, ProvDb};
 
+use crate::memo::MemoHit;
+
 /// Collection names inside the provenance database.
 pub const TASKS_COLLECTION: &str = "task_events";
 pub const FILES_COLLECTION: &str = "file_events";
 pub const WORKFLOWS_COLLECTION: &str = "workflow_events";
 pub const ATTEMPTS_COLLECTION: &str = "attempt_events";
+
+/// The `task_events` document of one task execution.
+fn task_doc(t: &TaskEvent) -> Json {
+    Json::object()
+        .with("name", t.name.as_str())
+        .with("node", t.node.as_str())
+        .with("makespan", t.makespan())
+        .with("t_start", t.t_start)
+        .with("t_end", t.t_end)
+        .with("attempts", t.attempts)
+        .with("command", t.command.as_str())
+}
+
+/// The `file_events` document of one staged file.
+fn file_doc(f: &FileEvent) -> Json {
+    Json::object()
+        .with("path", f.path.as_str())
+        .with("size", f.size)
+        .with("task", f.task)
+        .with("direction", f.direction.as_str())
+        .with("transfer_seconds", f.transfer_seconds)
+}
 
 /// Per-workflow provenance recorder over a (possibly shared, long-lived)
 /// provenance database. Sharing the database across runs is what feeds the
@@ -34,7 +58,9 @@ pub struct ProvenanceManager {
 impl ProvenanceManager {
     pub fn new(db: ProvDb) -> ProvenanceManager {
         // Index the hot lookup fields once; index creation is idempotent.
-        db.collection(TASKS_COLLECTION).create_index("name");
+        let tasks = db.collection(TASKS_COLLECTION);
+        tasks.create_index("name");
+        tasks.create_index("key");
         ProvenanceManager {
             db,
             events: Vec::new(),
@@ -46,18 +72,48 @@ impl ProvenanceManager {
         &self.db
     }
 
-    /// Records a completed task execution.
-    pub fn record_task(&mut self, event: TaskEvent) {
-        let doc = Json::object()
-            .with("name", event.name.as_str())
-            .with("node", event.node.as_str())
-            .with("makespan", event.makespan())
-            .with("t_start", event.t_start)
-            .with("t_end", event.t_end)
-            .with("attempts", event.attempts)
-            .with("command", event.command.as_str());
+    /// Records a completed task execution. A memoizing run passes the
+    /// invocation's [`crate::memo_key`]: the document then also carries
+    /// `key` and the committed `outputs`, which is what
+    /// [`ProvenanceManager::memo_hit`] recalls. On a durable database the
+    /// document is in the WAL before this returns, so a crash right after
+    /// the output commit still leaves a resumable record.
+    pub fn record_task(&mut self, event: TaskEvent, memo_key: Option<&str>) {
+        let mut doc = task_doc(&event);
+        if let Some(key) = memo_key {
+            let outputs = event.outputs.iter().map(|(path, size)| {
+                Json::object()
+                    .with("path", path.as_str())
+                    .with("size", *size)
+            });
+            doc = doc
+                .with("key", key)
+                .with("outputs", Json::Array(outputs.collect()));
+        }
         self.db.collection(TASKS_COLLECTION).insert(doc);
         self.events.push(TraceEvent::Task(event));
+    }
+
+    /// The latest committed invocation recorded under memo `key`, if any.
+    pub fn memo_hit(&self, key: &str) -> Option<MemoHit> {
+        let doc = self
+            .db
+            .collection(TASKS_COLLECTION)
+            .query()
+            .filter("key", Op::Eq, key)
+            .last()?;
+        let Some(Json::Array(outputs)) = doc.get("outputs") else {
+            return None;
+        };
+        let outputs = outputs.iter().map(|o| {
+            let path = o.get("path")?.as_str()?.to_string();
+            Some((path, o.get("size")?.as_u64()?))
+        });
+        Some(MemoHit {
+            outputs: outputs.collect::<Option<_>>()?,
+            node: doc.get("node")?.as_str()?.to_string(),
+            saved_secs: doc.get("makespan").and_then(Json::as_f64).unwrap_or(0.0),
+        })
     }
 
     /// Records the fate of one container attempt that did *not* commit the
@@ -99,13 +155,9 @@ impl ProvenanceManager {
 
     /// Records a file staged in or out of a task's container.
     pub fn record_file(&mut self, event: FileEvent) {
-        let doc = Json::object()
-            .with("path", event.path.as_str())
-            .with("size", event.size)
-            .with("task", event.task)
-            .with("direction", event.direction.as_str())
-            .with("transfer_seconds", event.transfer_seconds);
-        self.db.collection(FILES_COLLECTION).insert(doc);
+        self.db
+            .collection(FILES_COLLECTION)
+            .insert(file_doc(&event));
         self.events.push(TraceEvent::File(event));
     }
 
@@ -139,25 +191,11 @@ impl ProvenanceManager {
         for event in events {
             match event {
                 TraceEvent::Task(t) => {
-                    let doc = Json::object()
-                        .with("name", t.name.as_str())
-                        .with("node", t.node.as_str())
-                        .with("makespan", t.makespan())
-                        .with("t_start", t.t_start)
-                        .with("t_end", t.t_end)
-                        .with("attempts", t.attempts)
-                        .with("command", t.command.as_str());
-                    self.db.collection(TASKS_COLLECTION).insert(doc);
+                    self.db.collection(TASKS_COLLECTION).insert(task_doc(&t));
                     loaded += 1;
                 }
                 TraceEvent::File(f) => {
-                    let doc = Json::object()
-                        .with("path", f.path.as_str())
-                        .with("size", f.size)
-                        .with("task", f.task)
-                        .with("direction", f.direction.as_str())
-                        .with("transfer_seconds", f.transfer_seconds);
-                    self.db.collection(FILES_COLLECTION).insert(doc);
+                    self.db.collection(FILES_COLLECTION).insert(file_doc(&f));
                 }
                 TraceEvent::Workflow(_) => {}
             }
@@ -184,56 +222,6 @@ impl ProvenanceManager {
             .query()
             .filter("name", Op::Eq, signature)
             .aggregate("makespan", Aggregate::Avg)
-    }
-
-    /// Number of recorded executions of `signature` (any node).
-    pub fn observation_count(&self, signature: &str) -> usize {
-        self.db
-            .collection(TASKS_COLLECTION)
-            .query()
-            .filter("name", Op::Eq, signature)
-            .aggregate("makespan", Aggregate::Count)
-            .unwrap_or(0.0) as usize
-    }
-
-    /// Latest recorded size of a file (§3.4 statistics source ii: "the
-    /// names and sizes of the files being processed in these tasks").
-    pub fn known_file_size(&self, path: &str) -> Option<u64> {
-        self.db
-            .collection(FILES_COLLECTION)
-            .query()
-            .filter("path", Op::Eq, path)
-            .last()
-            .and_then(|doc| doc.get("size").and_then(Json::as_u64))
-    }
-
-    /// Average observed transfer seconds per byte for stage-in traffic —
-    /// available to schedulers that want to estimate data transfer times
-    /// (§3.4 point iii).
-    pub fn avg_transfer_secs_per_byte(&self) -> Option<f64> {
-        let docs = self
-            .db
-            .collection(FILES_COLLECTION)
-            .query()
-            .filter("direction", Op::Eq, "in")
-            .filter("size", Op::Gt, 0.0)
-            .collect();
-        if docs.is_empty() {
-            return None;
-        }
-        let (mut secs, mut bytes) = (0.0, 0.0);
-        for d in docs {
-            secs += d
-                .get("transfer_seconds")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            bytes += d.get("size").and_then(Json::as_f64).unwrap_or(0.0);
-        }
-        if bytes > 0.0 {
-            Some(secs / bytes)
-        } else {
-            None
-        }
     }
 }
 
@@ -263,21 +251,20 @@ mod tests {
     #[test]
     fn latest_runtime_is_most_recent() {
         let mut p = ProvenanceManager::new(ProvDb::new());
-        p.record_task(task_event("align", "w0", 0.0, 10.0));
-        p.record_task(task_event("align", "w0", 20.0, 25.0));
-        p.record_task(task_event("align", "w1", 0.0, 40.0));
+        p.record_task(task_event("align", "w0", 0.0, 10.0), None);
+        p.record_task(task_event("align", "w0", 20.0, 25.0), None);
+        p.record_task(task_event("align", "w1", 0.0, 40.0), None);
         assert_eq!(p.latest_runtime("align", "w0"), Some(5.0));
         assert_eq!(p.latest_runtime("align", "w1"), Some(40.0));
         assert_eq!(p.latest_runtime("align", "w9"), None);
         assert_eq!(p.latest_runtime("sort", "w0"), None);
-        assert_eq!(p.observation_count("align"), 3);
     }
 
     #[test]
     fn estimates_survive_across_manager_instances_sharing_a_db() {
         let db = ProvDb::new();
         let mut p1 = ProvenanceManager::new(db.clone());
-        p1.record_task(task_event("align", "w0", 0.0, 12.0));
+        p1.record_task(task_event("align", "w0", 0.0, 12.0), None);
         drop(p1);
         let p2 = ProvenanceManager::new(db);
         assert_eq!(p2.latest_runtime("align", "w0"), Some(12.0));
@@ -289,7 +276,7 @@ mod tests {
         let mut e = task_event("align", "w0", 0.0, 10.0);
         e.inputs = vec![("/in".into(), 5)];
         e.outputs = vec![("/out".into(), 10)];
-        p.record_task(e);
+        p.record_task(e, None);
         p.record_file(FileEvent {
             path: "/in".into(),
             size: 5,
@@ -304,54 +291,39 @@ mod tests {
     }
 
     #[test]
-    fn transfer_rate_estimate() {
+    fn memoized_task_documents_round_trip_as_hits() {
         let mut p = ProvenanceManager::new(ProvDb::new());
-        assert_eq!(p.avg_transfer_secs_per_byte(), None);
-        p.record_file(FileEvent {
-            path: "/a".into(),
-            size: 100,
-            task: 0,
-            direction: "in".into(),
-            transfer_seconds: 2.0,
-        });
-        p.record_file(FileEvent {
-            path: "/b".into(),
-            size: 100,
-            task: 0,
-            direction: "out".into(), // ignored: only stage-in counts
-            transfer_seconds: 50.0,
-        });
-        assert_eq!(p.avg_transfer_secs_per_byte(), Some(0.02));
+        let key = crate::memo_key("align", "cmd", &[7]);
+        assert_eq!(p.memo_hit(&key), None);
+        p.record_task(task_event("align", "w0", 0.0, 9.0), None);
+        assert_eq!(p.memo_hit(&key), None, "a plain record carries no key");
+        let mut e = task_event("align", "worker-1", 0.0, 12.5);
+        e.outputs = vec![("/out/a.bam".into(), 1024)];
+        p.record_task(e, Some(&key));
+        let hit = p.memo_hit(&key).expect("recorded");
+        assert_eq!(hit.outputs, vec![("/out/a.bam".to_string(), 1024)]);
+        assert_eq!(hit.node, "worker-1");
+        assert_eq!(hit.saved_secs, 12.5);
+        let tasks = p.db().collection(TASKS_COLLECTION);
+        assert_eq!(tasks.len(), 2, "one document per invocation");
+        // The memoized document is still an ordinary runtime observation.
+        assert_eq!(p.latest_runtime("align", "worker-1"), Some(12.5));
     }
-}
 
-#[cfg(test)]
-mod statistics_source_tests {
-    use super::*;
-    use hiway_lang::trace::FileEvent;
-
-    /// The three statistics sources §3.4 enumerates are all queryable.
     #[test]
-    fn file_sizes_and_transfer_rates_are_recorded() {
-        let mut p = ProvenanceManager::new(ProvDb::new());
-        assert_eq!(p.known_file_size("/in/reads.fq"), None);
-        p.record_file(FileEvent {
-            path: "/in/reads.fq".into(),
-            size: 1_000_000,
-            task: 0,
-            direction: "in".into(),
-            transfer_seconds: 2.0,
-        });
-        assert_eq!(p.known_file_size("/in/reads.fq"), Some(1_000_000));
-        assert_eq!(p.avg_transfer_secs_per_byte(), Some(2.0e-6));
-        // Latest size wins when a path is re-observed.
-        p.record_file(FileEvent {
-            path: "/in/reads.fq".into(),
-            size: 2_000_000,
-            task: 1,
-            direction: "in".into(),
-            transfer_seconds: 4.0,
-        });
-        assert_eq!(p.known_file_size("/in/reads.fq"), Some(2_000_000));
+    fn latest_memo_record_wins_and_survives_a_shared_db() {
+        let db = ProvDb::new();
+        let mut a = ProvenanceManager::new(db.clone());
+        let key = crate::memo_key("t", "c", &[]);
+        for (node, size) in [("n0", 1), ("n1", 2)] {
+            let mut e = task_event("t", node, 0.0, size as f64);
+            e.outputs = vec![("/x".into(), size)];
+            a.record_task(e, Some(&key));
+        }
+        drop(a);
+        let b = ProvenanceManager::new(db); // fresh handle, same store
+        let hit = b.memo_hit(&key).expect("still there");
+        assert_eq!(hit.node, "n1", "latest observation wins");
+        assert_eq!(hit.outputs[0].1, 2);
     }
 }

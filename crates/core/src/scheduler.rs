@@ -100,9 +100,6 @@ pub struct Scores {
     pub lower_wins: bool,
     /// One score per candidate, in candidate order.
     pub of: Vec<Score>,
-    /// A full `(key, tie)` tie goes to the latest-ready candidate instead
-    /// of the earliest.
-    pub latest_wins_ties: bool,
     /// Why the winner won, in the policy's own terms.
     pub reason: &'static str,
     /// Formats a candidate's audit detail (called only when tracing).
@@ -141,7 +138,6 @@ impl Scheduler for FcfsScheduler {
             of: (0..candidates.len())
                 .map(|i| Score::new(i as f64))
                 .collect(),
-            latest_wins_ties: false,
             reason: "head of the ready queue (lowest queue position wins)",
             detail: |s, _| format!("queue position {}", s.key),
         }
@@ -177,7 +173,6 @@ impl Scheduler for DataAwareScheduler {
                     Score::new(frac.unwrap_or(0.0))
                 })
                 .collect(),
-            latest_wins_ties: false,
             reason: if alive {
                 "highest fraction of input data local to the container's node \
                  (ties fall back to FCFS order)"
@@ -453,7 +448,6 @@ impl Scheduler for StaticScheduler {
                     None => Score::new(0.5),
                 })
                 .collect(),
-            latest_wins_ties: false,
             reason: "static plan confirmation: the task pre-assigned to this node \
                      (unplanned tasks fill spare containers)",
             detail: |s, node_name| match s.reserved_for {
@@ -521,10 +515,6 @@ impl Scheduler for AdaptiveScheduler {
                     }
                 })
                 .collect(),
-            // Equal fitness and locality go to the latest-ready task: the
-            // policy's placements have always broken full ties that way,
-            // although its reason text says "FCFS order".
-            latest_wins_ties: true,
             reason: "lowest relative fitness wins (ties: higher locality, then \
                      FCFS order)",
             detail: |s, _| {
@@ -567,22 +557,25 @@ mod tests {
     }
 
     fn record(prov: &mut ProvenanceManager, name: &str, node: &str, makespan: f64) {
-        prov.record_task(hiway_lang::trace::TaskEvent {
-            id: 0,
-            name: name.into(),
-            command: name.into(),
-            inputs: vec![],
-            outputs: vec![],
-            cpu_seconds: makespan,
-            threads: 1,
-            memory_mb: 1,
-            node: node.into(),
-            t_start: 0.0,
-            t_end: makespan,
-            attempts: 1,
-            stdout: String::new(),
-            stderr: String::new(),
-        });
+        prov.record_task(
+            hiway_lang::trace::TaskEvent {
+                id: 0,
+                name: name.into(),
+                command: name.into(),
+                inputs: vec![],
+                outputs: vec![],
+                cpu_seconds: makespan,
+                threads: 1,
+                memory_mb: 1,
+                node: node.into(),
+                t_start: 0.0,
+                t_end: makespan,
+                attempts: 1,
+                stdout: String::new(),
+                stderr: String::new(),
+            },
+            None,
+        );
     }
 
     /// The node a static plan pinned a task to, read off its container
@@ -611,7 +604,6 @@ mod tests {
         Scores {
             lower_wins,
             of,
-            latest_wins_ties: false,
             reason: "",
             detail: |_, _| String::new(),
         }
@@ -633,12 +625,6 @@ mod tests {
         assert_eq!(driver::pick(&scores(true, of.clone())), Some(1));
         assert_eq!(driver::pick(&scores(false, of)), Some(0));
         assert_eq!(driver::pick(&scores(false, Vec::new())), None);
-        let of = vec![Score::new(5.0), Score::new(2.0), Score::new(5.0)];
-        let latest = Scores {
-            latest_wins_ties: true,
-            ..scores(false, of)
-        };
-        assert_eq!(driver::pick(&latest), Some(2));
     }
 
     #[test]
@@ -781,6 +767,23 @@ mod tests {
             (scores.detail)(&scores.of[0], "w0"),
             "relative fitness 0.000 (latest here / cross-node avg; 0 = unexplored), \
              locality 0.000"
+        );
+    }
+
+    #[test]
+    fn adaptive_breaks_full_ties_toward_the_earliest_ready() {
+        let prov = ProvenanceManager::new(ProvDb::new());
+        let hdfs = Hdfs::new(2, Default::default(), 0);
+        let (a, b, c) = (
+            task(0, "a", &[], &[]),
+            task(1, "b", &[], &[]),
+            task(2, "c", &[], &[]),
+        );
+        let chosen = pick(&AdaptiveScheduler, NodeId(0), &[&a, &b, &c], &hdfs, &prov);
+        assert_eq!(
+            chosen,
+            Some(TaskId(0)),
+            "equal fitness and locality: FCFS order"
         );
     }
 

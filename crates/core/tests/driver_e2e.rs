@@ -515,22 +515,25 @@ fn adaptive_declines_a_slow_node_at_most_three_times() {
     let db = ProvDb::new();
     let mut prov = hiway_core::ProvenanceManager::new(db.clone());
     for (node, secs) in [("w-0", 10.0), ("w-1", 100.0)] {
-        prov.record_task(hiway_lang::trace::TaskEvent {
-            id: 0,
-            name: "sig".into(),
-            command: "sig".into(),
-            inputs: vec![],
-            outputs: vec![],
-            cpu_seconds: secs,
-            threads: 1,
-            memory_mb: 1,
-            node: node.into(),
-            t_start: 0.0,
-            t_end: secs,
-            attempts: 1,
-            stdout: String::new(),
-            stderr: String::new(),
-        });
+        prov.record_task(
+            hiway_lang::trace::TaskEvent {
+                id: 0,
+                name: "sig".into(),
+                command: "sig".into(),
+                inputs: vec![],
+                outputs: vec![],
+                cpu_seconds: secs,
+                threads: 1,
+                memory_mb: 1,
+                node: node.into(),
+                t_start: 0.0,
+                t_end: secs,
+                attempts: 1,
+                stdout: String::new(),
+                stderr: String::new(),
+            },
+            None,
+        );
     }
     let mut cluster = small_cluster(2);
     let config = HiwayConfig::default().with_scheduler(SchedulerPolicy::Adaptive);

@@ -10,8 +10,9 @@
 //!
 //! * named collections of JSON documents,
 //! * hash indexes over scalar fields (built eagerly, maintained on insert),
-//! * a small filter/projection query API, and
-//! * grouped aggregation (count / sum / avg / min / max),
+//! * one query path — filter chains served from an index where one
+//!   applies, over borrowed documents — with aggregation
+//!   (count / sum / avg / min / max), and
 //! * JSON-lines export/import for durability.
 //!
 //! The Workflow Scheduler's statistics lookups (latest observed runtime of
@@ -33,7 +34,7 @@ pub mod segment;
 pub mod store;
 pub mod wal;
 
-pub use query::{Aggregate, Filter, Op};
+pub use query::{Aggregate, Op};
 pub use store::{Collection, DocId, DurableOptions, ProvDb};
 pub use wal::DurabilityStats;
 

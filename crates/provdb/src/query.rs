@@ -1,4 +1,4 @@
-//! Filtering and aggregation over document snapshots.
+//! Filtering and aggregation over a collection's documents.
 //!
 //! This is deliberately a small fraction of SQL — exactly the shapes the
 //! Workflow Scheduler needs: "the observed runtimes of earlier tasks of
@@ -6,8 +6,16 @@
 //! nodes", "the names and sizes of the files being processed", and "the
 //! data transfer times for obtaining this input data" (paper §3.4), plus
 //! the manual aggregation queries §3.5 advertises.
+//!
+//! A [`Query`] is the store's only read path. Its terminal operations
+//! take the collection's read lock once, draw candidates from the index
+//! of the first indexed `Eq` clause (or from every document), check every
+//! clause on borrowed documents, and clone only what they return.
+//! Results and their order are exactly what a full scan gives.
 
 use hiway_format::json::Json;
+
+use crate::store::Collection;
 
 /// Comparison operators for filters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -20,49 +28,27 @@ pub enum Op {
     Ge,
 }
 
-/// A single field predicate.
-#[derive(Clone, Debug)]
-pub struct Filter {
-    clauses: Vec<(String, Op, Json)>,
-}
+/// One field predicate of a query.
+pub(crate) type Clause = (String, Op, Json);
 
-impl Filter {
-    pub fn new() -> Filter {
-        Filter {
-            clauses: Vec::new(),
+/// True when every clause holds. Numeric comparisons require numbers;
+/// `Eq`/`Ne` work on any type; ordering on strings is lexicographic.
+pub(crate) fn matches(clauses: &[Clause], doc: &Json) -> bool {
+    clauses.iter().all(|(field, op, expected)| {
+        let actual = match doc.get(field) {
+            Some(v) => v,
+            None => return false,
+        };
+        match op {
+            Op::Eq => actual == expected,
+            Op::Ne => actual != expected,
+            Op::Lt | Op::Le | Op::Gt | Op::Ge => match (actual, expected) {
+                (Json::Number(a), Json::Number(b)) => cmp_holds(*op, a.partial_cmp(b)),
+                (Json::String(a), Json::String(b)) => cmp_holds(*op, Some(a.cmp(b))),
+                _ => false,
+            },
         }
-    }
-
-    pub fn and(mut self, field: &str, op: Op, value: impl Into<Json>) -> Filter {
-        self.clauses.push((field.to_string(), op, value.into()));
-        self
-    }
-
-    /// True when every clause holds. Numeric comparisons require numbers;
-    /// `Eq`/`Ne` work on any type; ordering on strings is lexicographic.
-    pub fn matches(&self, doc: &Json) -> bool {
-        self.clauses.iter().all(|(field, op, expected)| {
-            let actual = match doc.get(field) {
-                Some(v) => v,
-                None => return false,
-            };
-            match op {
-                Op::Eq => actual == expected,
-                Op::Ne => actual != expected,
-                Op::Lt | Op::Le | Op::Gt | Op::Ge => match (actual, expected) {
-                    (Json::Number(a), Json::Number(b)) => cmp_holds(*op, a.partial_cmp(b)),
-                    (Json::String(a), Json::String(b)) => cmp_holds(*op, Some(a.cmp(b))),
-                    _ => false,
-                },
-            }
-        })
-    }
-}
-
-impl Default for Filter {
-    fn default() -> Filter {
-        Filter::new()
-    }
+    })
 }
 
 fn cmp_holds(op: Op, ord: Option<std::cmp::Ordering>) -> bool {
@@ -76,75 +62,46 @@ fn cmp_holds(op: Op, ord: Option<std::cmp::Ordering>) -> bool {
     )
 }
 
-/// A fluent query over a snapshot of documents.
+/// A fluent query over a collection.
 pub struct Query {
-    docs: Vec<Json>,
-    filter: Filter,
+    col: Collection,
+    clauses: Vec<Clause>,
 }
 
 impl Query {
-    pub(crate) fn new(docs: Vec<Json>) -> Query {
+    pub(crate) fn new(col: Collection) -> Query {
         Query {
-            docs,
-            filter: Filter::new(),
+            col,
+            clauses: Vec::new(),
         }
     }
 
     pub fn filter(mut self, field: &str, op: Op, value: impl Into<Json>) -> Query {
-        self.filter = self.filter.and(field, op, value);
+        self.clauses.push((field.to_string(), op, value.into()));
         self
     }
 
     /// Materializes the matching documents, in insertion order.
     pub fn collect(self) -> Vec<Json> {
-        self.docs
-            .into_iter()
-            .filter(|d| self.filter.matches(d))
-            .collect()
+        self.col
+            .with_matches(&self.clauses, |docs| docs.cloned().collect())
     }
 
     /// The last matching document (the "latest observation" the adaptive
-    /// scheduler bases its runtime estimates on).
+    /// scheduler bases its runtime estimates on). Walks from the back and
+    /// stops at the first match.
     pub fn last(self) -> Option<Json> {
-        self.collect().into_iter().next_back()
+        self.col
+            .with_matches(&self.clauses, |mut docs| docs.next_back().cloned())
     }
 
     /// Aggregates a numeric field over the matching documents.
     pub fn aggregate(self, field: &str, agg: Aggregate) -> Option<f64> {
-        let values: Vec<f64> = self
-            .collect()
-            .iter()
-            .filter_map(|d| d.get(field).and_then(Json::as_f64))
-            .collect();
+        let values: Vec<f64> = self.col.with_matches(&self.clauses, |docs| {
+            docs.filter_map(|d| d.get(field).and_then(Json::as_f64))
+                .collect()
+        });
         agg.apply(&values)
-    }
-
-    /// Groups matching documents by a scalar field and aggregates another
-    /// field per group. Returns (group key rendering, aggregate) pairs,
-    /// sorted by key for deterministic output.
-    pub fn group_aggregate(
-        self,
-        group_field: &str,
-        value_field: &str,
-        agg: Aggregate,
-    ) -> Vec<(String, f64)> {
-        let mut groups: std::collections::BTreeMap<String, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        for doc in self.collect() {
-            let key = match doc.get(group_field) {
-                Some(Json::String(s)) => s.clone(),
-                Some(Json::Number(n)) => format!("{n}"),
-                Some(Json::Bool(b)) => format!("{b}"),
-                _ => continue,
-            };
-            if let Some(v) = doc.get(value_field).and_then(Json::as_f64) {
-                groups.entry(key).or_default().push(v);
-            }
-        }
-        groups
-            .into_iter()
-            .filter_map(|(k, vs)| agg.apply(&vs).map(|a| (k, a)))
-            .collect()
     }
 }
 
@@ -239,16 +196,6 @@ mod tests {
         assert_eq!(none.aggregate("runtime", Aggregate::Avg), None);
         let zero = c.query().filter("task", Op::Eq, "nope");
         assert_eq!(zero.aggregate("runtime", Aggregate::Count), Some(0.0));
-    }
-
-    #[test]
-    fn group_aggregate_by_node() {
-        let c = seeded();
-        let groups = c.query().group_aggregate("node", "runtime", Aggregate::Avg);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, "n0");
-        assert!((groups[0].1 - 9.0).abs() < 1e-9); // (10+12+5)/3
-        assert!((groups[1].1 - 13.0).abs() < 1e-9); // (20+6)/2
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::{Mutex, MutexGuard, RwLock};
 
 use hiway_format::json::Json;
 
-use crate::query::{Filter, Query};
+use crate::query::{matches, Clause, Op, Query};
 use crate::recover::recover;
 use crate::segment::{write_snapshot, CollectionImage, DbImage};
 use crate::wal::{snap_path, wal_path, DurabilityStats, Record, Wal};
@@ -67,12 +67,13 @@ type Durable = Arc<Mutex<DurableEngine>>;
 
 /// Canonical index key for a scalar JSON value. Non-scalars are not
 /// indexable (documents lacking the field, or holding arrays/objects,
-/// simply don't appear in the index).
+/// simply don't appear in the index). Values equal under `Json`'s `==`
+/// share a key: `-0.0` files under `0`.
 fn index_key(value: &Json) -> Option<String> {
     match value {
         Json::Null => Some("null".to_string()),
         Json::Bool(b) => Some(format!("b:{b}")),
-        Json::Number(n) => Some(format!("n:{n}")),
+        Json::Number(n) => Some(format!("n:{}", n + 0.0)),
         Json::String(s) => Some(format!("s:{s}")),
         Json::Array(_) | Json::Object(_) => None,
     }
@@ -113,6 +114,9 @@ impl CollectionInner {
         self.indexes.insert(field.to_string(), index);
     }
 }
+
+/// Borrowed documents a query draws from, in insertion order.
+pub(crate) type Matches<'a> = Box<dyn DoubleEndedIterator<Item = &'a Json> + 'a>;
 
 /// A named collection of JSON documents. Cheap to clone (shared handle).
 #[derive(Clone, Default)]
@@ -221,48 +225,34 @@ impl Collection {
         self.len() == 0
     }
 
-    pub fn get(&self, id: DocId) -> Option<Json> {
-        self.inner
-            .read()
-            .expect("provdb lock poisoned")
-            .docs
-            .get(id.0 as usize)
-            .cloned()
-    }
-
-    /// Exact-match lookup, served from the index when one exists.
-    pub fn find_eq(&self, field: &str, value: &Json) -> Vec<Json> {
-        let inner = self.inner.read().expect("provdb lock poisoned");
-        if let (Some(index), Some(key)) = (inner.indexes.get(field), index_key(value)) {
-            return index
-                .get(&key)
-                .map(|ids| {
-                    ids.iter()
-                        .map(|id| inner.docs[id.0 as usize].clone())
-                        .collect()
-                })
-                .unwrap_or_default();
-        }
-        inner
-            .docs
-            .iter()
-            .filter(|d| d.get(field) == Some(value))
-            .cloned()
-            .collect()
-    }
-
-    /// Starts a filtered query (scan-based; composes multiple predicates).
+    /// Starts a query: the one read path of the store.
     pub fn query(&self) -> Query {
-        Query::new(self.snapshot())
+        Query::new(self.clone())
     }
 
-    /// A point-in-time copy of all documents.
-    pub fn snapshot(&self) -> Vec<Json> {
-        self.inner
-            .read()
-            .expect("provdb lock poisoned")
-            .docs
-            .clone()
+    /// Runs `f` under one read lock over the documents matching every
+    /// clause, borrowed, in insertion order. Candidates come from the
+    /// index of the first `Eq` clause on an indexed field with a scalar
+    /// value (its ids are ascending), else from every document; either
+    /// way every clause is checked, so the result is exactly what a full
+    /// scan gives.
+    pub(crate) fn with_matches<R>(
+        &self,
+        clauses: &[Clause],
+        f: impl FnOnce(Matches<'_>) -> R,
+    ) -> R {
+        let inner = self.inner.read().expect("provdb lock poisoned");
+        let indexed = clauses.iter().find_map(|(field, op, value)| {
+            let index = inner.indexes.get(field).filter(|_| *op == Op::Eq)?;
+            let ids = index.get(&index_key(value)?);
+            Some(ids.map_or(&[][..], Vec::as_slice))
+        });
+        let docs = &inner.docs;
+        let candidates: Matches<'_> = match indexed {
+            Some(ids) => Box::new(ids.iter().map(|id| &docs[id.0 as usize])),
+            None => Box::new(docs.iter()),
+        };
+        f(Box::new(candidates.filter(|d| matches(clauses, d))))
     }
 
     /// Serializes to JSON lines.
@@ -288,18 +278,6 @@ impl Collection {
         let n = docs.len();
         self.insert_many(docs);
         Ok(n)
-    }
-
-    /// Scan with an arbitrary filter (used by [`Query`] internally too).
-    pub fn scan(&self, filter: &Filter) -> Vec<Json> {
-        self.inner
-            .read()
-            .expect("provdb lock poisoned")
-            .docs
-            .iter()
-            .filter(|d| filter.matches(d))
-            .cloned()
-            .collect()
     }
 }
 
@@ -495,7 +473,7 @@ impl ProvDb {
 
     /// Appends the contents of a dump produced by [`ProvDb::export_all`].
     /// Index definitions round-trip: a restored database serves
-    /// `find_eq` from the same indexes the original had. Documents load
+    /// queries from the same indexes the original had. Documents load
     /// in one batch per collection section. Returns the number of
     /// documents loaded.
     pub fn import_all(&self, dump: &str) -> Result<usize, String> {
@@ -538,33 +516,16 @@ impl ProvDb {
 mod tests {
     use super::*;
 
+    /// Number of documents whose `field` equals `value`.
+    pub(super) fn count_eq(c: &Collection, field: &str, value: impl Into<Json>) -> usize {
+        c.query().filter(field, Op::Eq, value).collect().len()
+    }
+
     fn doc(task: &str, node: &str, runtime: f64) -> Json {
         Json::object()
             .with("task", task)
             .with("node", node)
             .with("runtime", runtime)
-    }
-
-    #[test]
-    fn insert_and_get() {
-        let c = Collection::default();
-        let id = c.insert(doc("align", "n0", 12.5));
-        assert_eq!(c.len(), 1);
-        assert_eq!(
-            c.get(id).unwrap().get("task").unwrap().as_str(),
-            Some("align")
-        );
-        assert!(c.get(DocId(99)).is_none());
-    }
-
-    #[test]
-    fn find_eq_without_index_scans() {
-        let c = Collection::default();
-        c.insert(doc("align", "n0", 1.0));
-        c.insert(doc("sort", "n0", 2.0));
-        c.insert(doc("align", "n1", 3.0));
-        let hits = c.find_eq("task", &Json::String("align".into()));
-        assert_eq!(hits.len(), 2);
     }
 
     #[test]
@@ -574,10 +535,8 @@ mod tests {
         c.create_index("task");
         c.insert(doc("align", "n1", 2.0)); // inserted after index creation
         c.insert(doc("sort", "n0", 3.0));
-        let hits = c.find_eq("task", &Json::String("align".into()));
-        assert_eq!(hits.len(), 2);
-        let miss = c.find_eq("task", &Json::String("nothing".into()));
-        assert!(miss.is_empty());
+        assert_eq!(count_eq(&c, "task", "align"), 2);
+        assert_eq!(count_eq(&c, "task", "nothing"), 0);
     }
 
     #[test]
@@ -586,8 +545,20 @@ mod tests {
         c.insert(Json::object().with("v", 1u64));
         c.insert(Json::object().with("v", "1"));
         c.create_index("v");
-        assert_eq!(c.find_eq("v", &Json::Number(1.0)).len(), 1);
-        assert_eq!(c.find_eq("v", &Json::String("1".into())).len(), 1);
+        assert_eq!(count_eq(&c, "v", 1u64), 1);
+        assert_eq!(count_eq(&c, "v", "1"), 1);
+    }
+
+    /// `-0.0 == 0.0`, so an indexed lookup must find both, as a scan does.
+    #[test]
+    fn index_files_negative_zero_with_zero() {
+        let c = Collection::default();
+        c.insert(Json::object().with("v", -0.0));
+        c.insert(Json::object().with("v", 0.0));
+        assert_eq!(count_eq(&c, "v", 0.0), 2);
+        c.create_index("v");
+        assert_eq!(count_eq(&c, "v", 0.0), 2);
+        assert_eq!(count_eq(&c, "v", -0.0), 2);
     }
 
     #[test]
@@ -605,11 +576,8 @@ mod tests {
         let ids = batch.insert_many(docs);
         assert_eq!(ids.len(), 10);
         assert_eq!(ids[0], DocId(0));
-        assert_eq!(batch.snapshot(), serial.snapshot());
-        assert_eq!(
-            batch.find_eq("task", &Json::String("t".into())).len(),
-            serial.find_eq("task", &Json::String("t".into())).len()
-        );
+        assert_eq!(batch.export_jsonl(), serial.export_jsonl());
+        assert_eq!(count_eq(&batch, "task", "t"), 10);
     }
 
     #[test]
@@ -620,7 +588,7 @@ mod tests {
         let dump = c.export_jsonl();
         let c2 = Collection::default();
         assert_eq!(c2.import_jsonl(&dump).unwrap(), 2);
-        assert_eq!(c2.snapshot(), c.snapshot());
+        assert_eq!(c2.export_jsonl(), dump);
         assert!(c2.import_jsonl("garbage").is_err());
     }
 
@@ -662,7 +630,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.len(), 400);
-        assert_eq!(c.find_eq("task", &Json::String("t2".into())).len(), 100);
+        assert_eq!(count_eq(&c, "task", "t2"), 100);
     }
 }
 
@@ -695,7 +663,7 @@ mod dump_tests {
 
     /// Regression: index definitions used to be lost on round-trip — a
     /// freshly imported database silently fell back to full scans in
-    /// `find_eq`. Dumps now carry `#index` lines and rebuild on import.
+    /// queries. Dumps now carry `#index` lines and rebuild on import.
     #[test]
     fn dump_round_trip_preserves_index_definitions() {
         let db = ProvDb::new();
@@ -722,7 +690,7 @@ mod dump_tests {
         // new documents arrive).
         let r = restored.collection("tasks");
         r.insert(Json::object().with("name", "b"));
-        assert_eq!(r.find_eq("name", &Json::String("b".into())).len(), 1);
+        assert_eq!(tests::count_eq(&r, "name", "b"), 1);
     }
 }
 
@@ -752,7 +720,7 @@ mod durable_tests {
         let tasks = db.collection("tasks");
         assert_eq!(tasks.len(), 2);
         assert_eq!(tasks.index_fields(), vec!["name".to_string()]);
-        assert_eq!(tasks.find_eq("name", &Json::String("a".into())).len(), 1);
+        assert_eq!(tests::count_eq(&tasks, "name", "a"), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -819,7 +787,7 @@ mod durable_tests {
             t.insert(Json::object().with("gen", gen));
         }
         let db = ProvDb::open(&dir).unwrap();
-        let docs = db.collection("t").snapshot();
+        let docs = db.collection("t").query().collect();
         let gens: Vec<u64> = docs
             .iter()
             .map(|d| d.get("gen").and_then(Json::as_u64).unwrap())
@@ -865,7 +833,7 @@ mod durable_tests {
         let db = ProvDb::open(&dir).unwrap();
         let c = db.collection("t");
         assert_eq!(c.len(), 200);
-        assert_eq!(c.find_eq("task", &Json::String("t2".into())).len(), 50);
+        assert_eq!(tests::count_eq(&c, "task", "t2"), 50);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

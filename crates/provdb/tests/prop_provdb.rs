@@ -1,6 +1,7 @@
-//! Property battery for the durable storage engine.
+//! Property battery for the storage engine and its query path.
 //!
-//! Two invariants from the durability design:
+//! Two invariants from the durability design, plus a differential check
+//! of the query planner:
 //!
 //! 1. **Byte-determinism**: any sequence of operations (unicode documents,
 //!    escapes, nested values; collection creation; index definitions;
@@ -10,13 +11,16 @@
 //!    offset, `ProvDb::open` succeeds (no panic, no partial record) and
 //!    the recovered state equals the state after some prefix of the
 //!    committed writes.
+//! 3. **Query = scan**: `collect`, `last` and every `Aggregate` over a
+//!    random filter chain give exactly what a plain filter over a
+//!    `Vec<Json>` gives, in the same order, whatever fields are indexed.
 //!
 //! Run with `PROPTEST_CASES=4000` in nightly CI for a deep sweep.
 
 use proptest::prelude::*;
 
 use hiway_format::json::Json;
-use hiway_provdb::{DurableOptions, ProvDb};
+use hiway_provdb::{Aggregate, Collection, DurableOptions, Op, ProvDb};
 
 /// Unique scratch directory per test case.
 fn scratch(tag: &str, case: u64) -> std::path::PathBuf {
@@ -109,6 +113,124 @@ fn prefix_exports(ops: &[DbOp]) -> Vec<String> {
         }
     }
     exports
+}
+
+/// Fields the query documents draw from; `d` is often missing.
+const FIELDS: [&str; 4] = ["a", "b", "c", "d"];
+
+/// A small value domain, so `Eq` clauses hit often: small numbers
+/// (`-0.0` included, which `==` equates with `0`), strings, booleans,
+/// null, and short arrays of numbers.
+fn arb_value() -> impl Strategy<Value = Json> {
+    prop_oneof![
+        (0u8..4).prop_map(|n| Json::Number(n as f64)),
+        Just(Json::Number(-0.0)),
+        "[xyz]{1}".prop_map(Json::String),
+        any::<bool>().prop_map(Json::Bool),
+        Just(Json::Null),
+        proptest::collection::vec((0u8..2).prop_map(|n| Json::Number(n as f64)), 0..3)
+            .prop_map(Json::Array),
+    ]
+}
+
+/// A document holding a random subset of [`FIELDS`].
+fn arb_query_doc() -> impl Strategy<Value = Json> {
+    proptest::collection::vec(proptest::option::of(arb_value()), 4..5).prop_map(|values| {
+        let pairs = FIELDS.iter().zip(values);
+        Json::Object(
+            pairs
+                .filter_map(|(f, v)| Some((f.to_string(), v?)))
+                .collect(),
+        )
+    })
+}
+
+/// One clause of a filter chain: field, operator, value.
+fn arb_clause() -> impl Strategy<Value = (usize, Op, Json)> {
+    let op = prop_oneof![Just(Op::Eq), Just(Op::Ne), Just(Op::Lt), Just(Op::Ge)];
+    (0usize..FIELDS.len(), op, arb_value())
+}
+
+/// The oracle's reading of one clause, written independently of the
+/// store: a missing field never matches; `Lt`/`Ge` compare numbers with
+/// numbers and strings with strings, and nothing else.
+fn oracle_holds(doc: &Json, (field, op, value): &(usize, Op, Json)) -> bool {
+    let Some(actual) = doc.get(FIELDS[*field]) else {
+        return false;
+    };
+    let ord = match (actual, value) {
+        (Json::Number(a), Json::Number(b)) => a.partial_cmp(b),
+        (Json::String(a), Json::String(b)) => Some(a.cmp(b)),
+        _ => None,
+    };
+    match op {
+        Op::Eq => actual == value,
+        Op::Ne => actual != value,
+        Op::Lt => ord == Some(std::cmp::Ordering::Less),
+        Op::Ge => ord.is_some_and(|o| o != std::cmp::Ordering::Less),
+        Op::Le | Op::Gt => unreachable!("not generated"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Invariant 3: the indexed, borrowing query path returns exactly the
+    /// documents, order and aggregates of a full scan. Indexes are built
+    /// part-way through the inserts, so both index construction and
+    /// incremental maintenance serve the candidates.
+    #[test]
+    fn queries_match_a_full_scan_oracle(
+        (docs, indexed, index_at, chain, agg_field) in (
+            proptest::collection::vec(arb_query_doc(), 0..40),
+            proptest::collection::vec(any::<bool>(), 4..5),
+            0usize..40,
+            proptest::collection::vec(arb_clause(), 0..4),
+            0usize..FIELDS.len(),
+        )
+    ) {
+        let col = Collection::default();
+        let split = index_at.min(docs.len());
+        col.insert_many(docs[..split].to_vec());
+        for (field, on) in FIELDS.iter().zip(&indexed) {
+            if *on {
+                col.create_index(field);
+            }
+        }
+        for doc in &docs[split..] {
+            col.insert(doc.clone());
+        }
+        let query = || {
+            chain.iter().fold(col.query(), |q, (field, op, value)| {
+                q.filter(FIELDS[*field], *op, value.clone())
+            })
+        };
+        let expected: Vec<Json> = docs
+            .iter()
+            .filter(|d| chain.iter().all(|clause| oracle_holds(d, clause)))
+            .cloned()
+            .collect();
+        prop_assert_eq!(query().collect(), expected.clone(), "collect");
+        prop_assert_eq!(query().last(), expected.last().cloned(), "last");
+        let values: Vec<f64> = expected
+            .iter()
+            .filter_map(|d| d.get(FIELDS[agg_field]).and_then(Json::as_f64))
+            .collect();
+        for agg in [
+            Aggregate::Count,
+            Aggregate::Sum,
+            Aggregate::Avg,
+            Aggregate::Min,
+            Aggregate::Max,
+        ] {
+            prop_assert_eq!(
+                query().aggregate(FIELDS[agg_field], agg),
+                agg.apply(&values),
+                "{:?}",
+                agg
+            );
+        }
+    }
 }
 
 proptest! {

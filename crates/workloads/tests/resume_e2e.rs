@@ -6,6 +6,8 @@
 use hiway_core::cluster::Cluster;
 use hiway_core::config::{HiwayConfig, SchedulerPolicy};
 use hiway_core::driver::Runtime;
+use hiway_core::provenance::TASKS_COLLECTION;
+use hiway_format::json::Json;
 use hiway_lang::dax::parse_dax;
 use hiway_provdb::ProvDb;
 use hiway_sim::{ClusterSpec, NodeSpec};
@@ -34,6 +36,19 @@ fn montage_config(db_path: &std::path::Path, resume: bool) -> HiwayConfig {
         .with_seed(11)
         .with_provdb_path(db_path.to_str().expect("utf-8 path"))
         .with_resume(resume)
+}
+
+/// The `task_events` documents of the durable store at `dir`, asserting
+/// on the way that no separate memo collection exists: the store keeps
+/// one document per committed invocation.
+fn task_documents(dir: &std::path::Path) -> Vec<Json> {
+    let db = ProvDb::open(dir).expect("reopen store");
+    let names = db.collection_names();
+    assert!(
+        !names.iter().any(|n| n == "memo_invocations"),
+        "no second memo document: {names:?}"
+    );
+    db.collection(TASKS_COLLECTION).query().collect()
 }
 
 /// `(path, content digest)` of every file in HDFS, sorted — the output
@@ -70,6 +85,17 @@ fn warm_resume_skips_every_completed_invocation() {
         assert_eq!(rt.memo_hits(wf), 0, "nothing to hit on a cold run");
         (reports[wf].runtime_secs(), hdfs_digests(&rt))
     };
+    // One task-event document per invocation, carrying the memo key and
+    // the committed outputs.
+    let docs = task_documents(&dir);
+    assert_eq!(docs.len(), n_tasks);
+    for doc in &docs {
+        assert!(doc.get("key").and_then(Json::as_str).is_some(), "{doc:?}");
+        assert!(
+            matches!(doc.get("outputs"), Some(Json::Array(_))),
+            "{doc:?}"
+        );
+    }
 
     // Warm resume on a fresh cluster: every invocation is memo-satisfied.
     let mut rt = Runtime::new(montage_cluster(&montage));
@@ -98,6 +124,9 @@ fn warm_resume_skips_every_completed_invocation() {
         "resume {:.1}s vs cold {cold_secs:.1}s",
         report.runtime_secs()
     );
+    // Memo hits execute nothing, so they record no task events.
+    drop(rt);
+    assert_eq!(task_documents(&dir).len(), n_tasks);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
