@@ -2,9 +2,13 @@
 # CI entry point: build, test, lint, and smoke-run the engine benchmark.
 # Everything here is deterministic; the bench smoke also regenerates
 # BENCH_engine.json so regressions in the engine hot path show up as a
-# speedup drop in the artifact.
+# speedup drop in the artifact. Run outputs (traces, experiment text)
+# land in ci-out/, which the workflow uploads as artifacts.
 set -euo pipefail
 cd "$(dirname "$0")"
+out=ci-out
+rm -rf "$out"
+mkdir -p "$out"
 
 echo "==> build (release)"
 cargo build --release --workspace
@@ -34,15 +38,24 @@ echo "==> provenance store benchmark smoke"
 ./target/release/bench_provdb --quick BENCH_provdb.json
 cat BENCH_provdb.json
 
-echo "==> trace determinism gate (every policy, same seed, twice, byte-identical)"
+echo "==> trace determinism gate (every policy, fault-free and chaotic, twice, byte-identical)"
+# The chaotic run (intensity 2, seed 8) has infrastructure failures and a
+# speculative duplicate, so the attempt-teardown paths are byte-gated too.
 for sched in fcfs data-aware round-robin heft adaptive; do
-  ./target/release/hiway-trace --scheduler "$sched" --out-dir "/tmp/hiway_trace1_$sched" > /dev/null
-  ./target/release/hiway-trace --scheduler "$sched" --out-dir "/tmp/hiway_trace2_$sched" > /dev/null
-  for f in trace.perfetto.json trace.events.jsonl trace.gantt.txt; do
-    if ! cmp -s "/tmp/hiway_trace1_$sched/$f" "/tmp/hiway_trace2_$sched/$f"; then
-      echo "FAIL: $f ($sched) differs between two identically-seeded runs" >&2
-      exit 1
-    fi
+  for variant in fault-free chaotic; do
+    extra=""
+    if [ "$variant" = chaotic ]; then extra="--intensity 2 --seed 8"; fi
+    for run in 1 2; do
+      # shellcheck disable=SC2086 # $extra is a flag list
+      ./target/release/hiway-trace --scheduler "$sched" $extra \
+        --out-dir "$out/trace$run/$variant/$sched" > /dev/null
+    done
+    for f in trace.perfetto.json trace.events.jsonl trace.gantt.txt; do
+      if ! cmp -s "$out/trace1/$variant/$sched/$f" "$out/trace2/$variant/$sched/$f"; then
+        echo "FAIL: $f ($sched, $variant) differs between two identically-seeded runs" >&2
+        exit 1
+      fi
+    done
   done
 done
 echo "trace artifacts byte-identical across runs for all five policies"
@@ -51,7 +64,6 @@ echo "==> experiment gate (each bin twice, byte-identical, matching results/)"
 # The paper's figures and tables plus the chaos, multi-tenancy and
 # crash-and-resume experiments; fig4, table2 and fig6 (~20-30 s each)
 # stay out of CI.
-out=$(mktemp -d)
 for bin in chaos multiwf resume fig8 fig9 table1 ablation; do
   ./target/release/"$bin" > "$out/$bin.1.txt"
   ./target/release/"$bin" > "$out/$bin.2.txt"
@@ -67,6 +79,5 @@ for bin in chaos multiwf resume fig8 fig9 table1 ablation; do
   fi
   echo "$bin deterministic, matches results/$bin.txt"
 done
-rm -rf "$out"
 
 echo "CI OK"

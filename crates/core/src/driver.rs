@@ -33,7 +33,7 @@ use rand::{Rng, SeedableRng};
 
 use hiway_hdfs::exec as hdfs_exec;
 use hiway_lang::trace::{FileEvent, TaskEvent};
-use hiway_lang::{TaskId, TaskSpec, WorkflowSource};
+use hiway_lang::{LangError, TaskId, TaskSpec, WorkflowSource};
 use hiway_obs::{CandidateScore, Decision, DecisionKind, Tracer, TrackId};
 use hiway_provdb::ProvDb;
 use hiway_sim::{Activity, ActivityId, Completion, Endpoint, NodeId, SimTime};
@@ -139,7 +139,6 @@ struct TaskRun {
     t_ready: f64,
     t_start: f64,
     t_exec_end: f64,
-    t_end: f64,
 }
 
 impl TaskRun {
@@ -158,7 +157,6 @@ impl TaskRun {
             t_ready: 0.0,
             t_start: 0.0,
             t_exec_end: 0.0,
-            t_end: 0.0,
         }
     }
 }
@@ -184,9 +182,10 @@ struct Am {
     /// Nodes this workflow has seen attempts fail on, with decay.
     blacklist: BTreeMap<NodeId, Strikes>,
     started: bool,
-    planned: bool,
-    done: bool,
-    error: Option<String>,
+    /// How the workflow ended; `None` while it runs.
+    end: Option<Result<(), String>>,
+    /// The rendered trace of a successful run that writes one.
+    trace: Option<String>,
     am_container: Option<Container>,
     t_submit: f64,
     t_finish: f64,
@@ -210,7 +209,7 @@ impl Am {
     }
 
     fn active(&self) -> bool {
-        !self.done && self.error.is_none()
+        self.end.is_none()
     }
 
     fn has_inflight_tasks(&self) -> bool {
@@ -427,9 +426,8 @@ impl Runtime {
             spec_pending: Vec::new(),
             blacklist: BTreeMap::new(),
             started: false,
-            planned: false,
-            done: false,
-            error: submit_error,
+            end: None,
+            trace: None,
             am_container: None,
             t_submit,
             t_finish: 0.0,
@@ -442,8 +440,12 @@ impl Runtime {
             memo_hits: 0,
             memo_saved_secs: 0.0,
         });
+        let wf = self.ams.len() - 1;
+        if let Some(why) = submit_error {
+            self.end_workflow(wf, Err(why));
+        }
         self.arm_heartbeat();
-        self.ams.len() - 1
+        wf
     }
 
     fn arm_heartbeat(&mut self) {
@@ -455,26 +457,35 @@ impl Runtime {
         }
     }
 
-    /// Runs until every submitted workflow has finished or failed, then
-    /// returns the reports (in submission order).
-    pub fn run_to_completion(&mut self) -> Vec<WorkflowReport> {
-        while let Some(events) = self.cluster.engine.step() {
-            for ev in events {
-                match ev {
-                    Completion::Timer { tag, .. } | Completion::Activity { tag, .. } => {
-                        self.dispatch(tag)
-                    }
-                }
-            }
-            if self.ams.iter().all(|am| !am.active()) {
-                break;
-            }
+    /// Steps the engine once and dispatches everything that completed;
+    /// `false` once the engine has drained.
+    fn step(&mut self) -> bool {
+        let Some(events) = self.cluster.engine.step() else {
+            return false;
+        };
+        for Completion::Timer { tag, .. } | Completion::Activity { tag, .. } in events {
+            self.dispatch(tag);
         }
+        true
+    }
+
+    fn any_active(&self) -> bool {
+        self.ams.iter().any(Am::active)
+    }
+
+    /// Runs until every submitted workflow has finished or failed, then
+    /// returns the reports (in submission order). Panics if the run left
+    /// anything behind (see [`Runtime::check_conservation`]).
+    pub fn run_to_completion(&mut self) -> Vec<WorkflowReport> {
+        while self.step() && self.any_active() {}
         // Anything still active at engine drain is stalled.
         for wf in 0..self.ams.len() {
             if self.ams[wf].active() {
-                self.fail_workflow(wf, "workflow stalled: no runnable work left".to_string());
+                self.end_workflow(wf, Err("workflow stalled: no runnable work left".into()));
             }
+        }
+        if let Err(leak) = self.check_conservation() {
+            panic!("run ended without conserving its resources: {leak}");
         }
         self.reports()
     }
@@ -484,71 +495,54 @@ impl Runtime {
     /// and chaos harnesses inject node failures mid-run. Returns `true`
     /// while at least one workflow is still active.
     pub fn run_until(&mut self, deadline: SimTime) -> bool {
-        loop {
-            if self.ams.iter().all(|am| !am.active()) {
-                return false;
-            }
+        while self.any_active() {
             match self.cluster.engine.peek_next_time() {
                 Some(t) if t <= deadline => {
-                    let events = self.cluster.engine.step().expect("peeked");
-                    for ev in events {
-                        match ev {
-                            Completion::Timer { tag, .. } | Completion::Activity { tag, .. } => {
-                                self.dispatch(tag)
-                            }
-                        }
-                    }
+                    self.step();
                 }
                 _ => {
                     self.cluster
                         .engine
                         .advance_to(deadline.max(self.cluster.engine.now()));
-                    return self.ams.iter().any(Am::active);
+                    return self.any_active();
                 }
             }
         }
+        false
     }
 
-    /// Builds the final reports.
-    pub fn reports(&mut self) -> Vec<WorkflowReport> {
+    /// Builds the reports: a workflow that has ended reports its end
+    /// instant, one still running reports the current time.
+    pub fn reports(&self) -> Vec<WorkflowReport> {
         let now = self.cluster.engine.now().as_secs();
         self.ams
-            .iter_mut()
-            .map(|am| {
-                let t_finish = if am.done { am.t_finish } else { now };
-                let total = (t_finish - am.t_submit).max(0.0);
-                let (trace, trace_path) = if am.done && am.config.write_trace {
-                    let text =
-                        am.prov
-                            .finish_workflow(am.source.name(), am.source.language(), total);
-                    (
-                        text,
-                        Some(format!("/hiway/traces/{}.trace", am.source.name())),
-                    )
-                } else {
-                    (String::new(), None)
-                };
-                WorkflowReport {
-                    name: am.source.name().to_string(),
-                    language: am.source.language().to_string(),
-                    scheduler: am.scheduler.policy().name(),
-                    t_submit: am.t_submit,
-                    t_finish,
-                    tasks: am.reports.clone(),
-                    trace,
-                    trace_path,
-                    wasted_container_secs: am.wasted_secs,
-                    infra_failures: am.infra_failures,
-                    task_failures: am.task_failures,
-                    speculative_attempts: am.speculative_attempts,
-                }
+            .iter()
+            .map(|am| WorkflowReport {
+                name: am.source.name().to_string(),
+                language: am.source.language().to_string(),
+                scheduler: am.scheduler.policy().name(),
+                t_submit: am.t_submit,
+                t_finish: if am.active() { now } else { am.t_finish },
+                tasks: am.reports.clone(),
+                trace: am.trace.clone().unwrap_or_default(),
+                trace_path: am
+                    .trace
+                    .as_ref()
+                    .map(|_| format!("/hiway/traces/{}.trace", am.source.name())),
+                wasted_container_secs: am.wasted_secs,
+                infra_failures: am.infra_failures,
+                task_failures: am.task_failures,
+                speculative_attempts: am.speculative_attempts,
             })
             .collect()
     }
 
     /// The error message of workflow `wf`, if it failed.
     pub fn error_of(&self, wf: usize) -> Option<&str> {
-        self.ams[wf].error.as_deref()
+        match &self.ams[wf].end {
+            Some(Err(why)) => Some(why),
+            _ => None,
+        }
     }
 
     /// The (possibly incomplete) provenance of a running workflow — like
@@ -589,21 +583,14 @@ impl Runtime {
     pub fn fail_node(&mut self, node: NodeId) {
         let killed = self.cluster.fail_node(node);
         for container in killed {
-            if let Some((wf, task, attempt)) = self.containers.remove(&container.id) {
-                self.handle_attempt_failure(
-                    wf,
-                    task,
-                    attempt,
-                    node,
-                    FailureKind::Infra,
-                    "node failure",
-                );
+            if let Some(&(wf, task, attempt)) = self.containers.get(&container.id) {
+                self.handle_attempt_failure(wf, task, attempt, FailureKind::Infra, "node failure");
             } else if let Some(wf) = self
                 .ams
                 .iter()
                 .position(|am| am.am_container.map(|c| c.id) == Some(container.id))
             {
-                self.fail_workflow(wf, format!("AM container lost with node {}", node.0));
+                self.end_workflow(wf, Err(format!("AM container lost with node {}", node.0)));
             }
         }
     }
@@ -621,21 +608,10 @@ impl Runtime {
     /// against the task's own retry budget. Returns `false` if the id is
     /// not a live worker container.
     pub fn preempt_container(&mut self, cid: ContainerId) -> bool {
-        let Some((wf, task, attempt)) = self.containers.remove(&cid) else {
+        let Some(&(wf, task, attempt)) = self.containers.get(&cid) else {
             return false;
         };
-        let node = match self.cluster.rm.release(cid) {
-            Some(c) => c.node,
-            None => return false,
-        };
-        self.handle_attempt_failure(
-            wf,
-            task,
-            attempt,
-            node,
-            FailureKind::Infra,
-            "container preempted",
-        );
+        self.handle_attempt_failure(wf, task, attempt, FailureKind::Infra, "container preempted");
         true
     }
 
@@ -658,21 +634,21 @@ impl Runtime {
         match tag {
             Tag::Heartbeat { .. } => self.on_heartbeat(),
             Tag::ContainerStarted { wf, task, attempt } => {
-                self.begin_stage_in(wf as usize, task, attempt)
+                self.begin_transfers(wf as usize, task, attempt, AttemptPhase::StageIn)
             }
             Tag::StageIn {
                 wf,
                 task,
                 attempt,
                 file,
-            } => self.on_stage_in_done(wf as usize, task, attempt, file),
+            } => self.on_transfer_done(wf as usize, task, attempt, AttemptPhase::StageIn, file),
             Tag::Exec { wf, task, attempt } => self.on_exec_done(wf as usize, task, attempt),
             Tag::StageOut {
                 wf,
                 task,
                 attempt,
                 file,
-            } => self.on_stage_out_done(wf as usize, task, attempt, file),
+            } => self.on_transfer_done(wf as usize, task, attempt, AttemptPhase::StageOut, file),
             Tag::RetryTask { wf, task } => self.on_retry_due(wf as usize, task),
             Tag::Stress | Tag::Replication => {}
         }
@@ -686,7 +662,7 @@ impl Runtime {
         for (app, why) in self.cluster.rm.take_infeasible() {
             if let Some(wf) = self.ams.iter().position(|am| am.app == app) {
                 if self.ams[wf].active() {
-                    self.fail_workflow(wf, format!("unsatisfiable container request: {why}"));
+                    self.end_workflow(wf, Err(format!("unsatisfiable container request: {why}")));
                 }
             }
         }
@@ -704,8 +680,7 @@ impl Runtime {
         }
         self.maybe_speculate();
 
-        let any_active = self.ams.iter().any(Am::active);
-        if any_active {
+        if self.any_active() {
             // Stall detection: nothing allocated, nothing in flight, yet
             // unfinished workflows remain — the cluster can never make
             // progress (an input that will never exist, a pinned request
@@ -726,7 +701,7 @@ impl Runtime {
                         } else {
                             "workflow stalled: AM container was never allocated"
                         };
-                        self.fail_workflow(wf, why.to_string());
+                        self.end_workflow(wf, Err(why.to_string()));
                     }
                 }
                 return;
@@ -840,22 +815,28 @@ impl Runtime {
     /// after handing a container back).
     fn re_request_head(&mut self, wf: usize) {
         let am = &self.ams[wf];
-        let tid = am
+        let head = am
             .ready_order
             .iter()
-            .find(|id| am.tasks[id].state == TaskState::Requested)
-            .copied();
-        if let Some(tid) = tid {
-            let resource = {
-                let spec = &self.ams[wf].tasks[&tid].spec;
-                self.container_resource_for(wf, spec)
-            };
-            let am = &mut self.ams[wf];
-            let req = am
-                .scheduler
-                .container_request(&am.tasks[&tid].spec, resource);
-            self.cluster.rm.request(am.app, req);
+            .find(|id| am.tasks[id].state == TaskState::Requested);
+        if let Some(&tid) = head {
+            self.request_container(wf, tid);
         }
+    }
+
+    /// Asks the RM for a container for `task_id`, shaped by the policy,
+    /// first queueing the task as Requested in readiness order unless it
+    /// already waits there.
+    fn request_container(&mut self, wf: usize, task_id: TaskId) {
+        let resource = self.container_resource_for(wf, &self.ams[wf].tasks[&task_id].spec);
+        let am = &mut self.ams[wf];
+        let task = am.tasks.get_mut(&task_id).expect("known task");
+        if task.state != TaskState::Requested {
+            task.state = TaskState::Requested;
+            am.ready_order.push(task_id);
+        }
+        let req = am.scheduler.container_request(&task.spec, resource);
+        self.cluster.rm.request(am.app, req);
     }
 
     /// Starts one attempt of `task_id` in `container`. Primary attempts
@@ -964,35 +945,28 @@ impl Runtime {
             }
             let factor = self.ams[wf].config.speculation_factor;
             let min_secs = self.ams[wf].config.speculation_min_secs;
-            let mut to_speculate: Vec<(TaskId, Resource)> = Vec::new();
-            {
-                let am = &self.ams[wf];
-                for (tid, task) in &am.tasks {
+            let am = &self.ams[wf];
+            let stragglers: Vec<TaskId> = am
+                .tasks
+                .iter()
+                .filter(|(_, task)| {
                     if task.state != TaskState::Active || task.speculating || task.active.len() != 1
                     {
-                        continue;
+                        return false;
                     }
                     let attempt = task.active.values().next().expect("len checked");
-                    if attempt.phase != AttemptPhase::Running {
-                        continue;
-                    }
                     let elapsed = now - attempt.t_exec_start;
-                    if elapsed < min_secs {
-                        continue;
-                    }
-                    match am.prov.average_runtime(&task.spec.name) {
-                        Some(est) if est > 0.0 && elapsed > factor * est => {
-                            to_speculate.push((*tid, Resource::ZERO));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            for (tid, _) in to_speculate {
-                let resource = {
-                    let spec = &self.ams[wf].tasks[&tid].spec;
-                    self.container_resource_for(wf, spec)
-                };
+                    attempt.phase == AttemptPhase::Running
+                        && elapsed >= min_secs
+                        && am
+                            .prov
+                            .average_runtime(&task.spec.name)
+                            .is_some_and(|est| est > 0.0 && elapsed > factor * est)
+                })
+                .map(|(tid, _)| *tid)
+                .collect();
+            for tid in stragglers {
+                let resource = self.container_resource_for(wf, &self.ams[wf].tasks[&tid].spec);
                 let am = &mut self.ams[wf];
                 am.tasks.get_mut(&tid).expect("known").speculating = true;
                 am.spec_pending.push(tid);
@@ -1012,50 +986,56 @@ impl Runtime {
                 am.config.scheduler.name(),
                 am.source.language()
             );
-            self.fail_workflow(wf, why);
-            return;
+            return self.end_workflow(wf, Err(why));
         }
-        match am.source.initial_tasks() {
-            Ok(tasks) => {
-                // Static policies plan over the full (static) task graph —
-                // but only over nodes that can actually host a worker
-                // container (dedicated master nodes advertise no capacity;
-                // the AM's own node is already occupied by the AM).
-                if am.config.scheduler.is_static() {
-                    let resource = am.config.container_resource;
-                    let nodes: Vec<_> = self
-                        .cluster
-                        .rm
-                        .alive_nodes()
-                        .into_iter()
-                        .filter(|n| self.cluster.rm.available(*n).fits(&resource))
-                        .collect();
-                    if nodes.is_empty() {
-                        self.fail_workflow(
-                            wf,
-                            "no node can host a worker container; static planning impossible"
-                                .to_string(),
-                        );
-                        return;
-                    }
-                    let names: Vec<String> = self
-                        .cluster
-                        .engine
-                        .spec()
-                        .nodes
-                        .iter()
-                        .map(|n| n.name.clone())
-                        .collect();
-                    let now = self.cluster.engine.now().as_secs();
-                    am.scheduler
-                        .plan(&tasks, &nodes, &names, &am.prov, &self.tracer, now);
-                    am.planned = true;
-                }
-                self.register_tasks(wf, tasks);
-                self.check_ready(wf);
-                self.maybe_finish(wf);
+        let discovered = am.source.initial_tasks();
+        // Static policies plan over the full (static) task graph — but
+        // only over nodes that can actually host a worker container
+        // (dedicated master nodes advertise no capacity; the AM's own node
+        // is already occupied by the AM).
+        if let (Ok(tasks), true) = (&discovered, am.config.scheduler.is_static()) {
+            let resource = am.config.container_resource;
+            let nodes: Vec<_> = self
+                .cluster
+                .rm
+                .alive_nodes()
+                .into_iter()
+                .filter(|n| self.cluster.rm.available(*n).fits(&resource))
+                .collect();
+            if nodes.is_empty() {
+                let why = "no node can host a worker container; static planning impossible";
+                return self.end_workflow(wf, Err(why.into()));
             }
-            Err(e) => self.fail_workflow(wf, e.to_string()),
+            let names: Vec<String> = self
+                .cluster
+                .engine
+                .spec()
+                .nodes
+                .iter()
+                .map(|n| n.name.clone())
+                .collect();
+            let now = self.cluster.engine.now().as_secs();
+            am.scheduler
+                .plan(tasks, &nodes, &names, &am.prov, &self.tracer, now);
+        }
+        self.advance(wf, discovered);
+    }
+
+    /// Registers newly discovered tasks, requests containers for the ready
+    /// ones, and ends the workflow once the front-end is complete and every
+    /// task is done; a front-end error ends it as a failure.
+    fn advance(&mut self, wf: usize, discovered: Result<Vec<TaskSpec>, LangError>) {
+        match discovered {
+            Ok(tasks) => self.register_tasks(wf, tasks),
+            Err(e) => return self.end_workflow(wf, Err(e.to_string())),
+        }
+        self.check_ready(wf);
+        let am = &self.ams[wf];
+        if am.active()
+            && am.source.is_complete()
+            && am.tasks.values().all(|t| t.state == TaskState::Done)
+        {
+            self.end_workflow(wf, Ok(()));
         }
     }
 
@@ -1113,7 +1093,11 @@ impl Runtime {
         };
         for id in ready {
             // A nested check_ready (via a memo completion's discovery
-            // cascade) may have handled this task already.
+            // cascade) may have handled this task already, or ended the
+            // workflow.
+            if !self.ams[wf].active() {
+                return;
+            }
             if self.ams[wf].tasks[&id].state != TaskState::Waiting {
                 continue;
             }
@@ -1126,17 +1110,8 @@ impl Runtime {
                     continue;
                 }
             }
-            let resource = {
-                let spec = &self.ams[wf].tasks[&id].spec;
-                self.container_resource_for(wf, spec)
-            };
-            let am = &mut self.ams[wf];
-            let task = am.tasks.get_mut(&id).expect("listed");
-            task.state = TaskState::Requested;
-            task.t_ready = now;
-            am.ready_order.push(id);
-            let req = am.scheduler.container_request(&task.spec, resource);
-            self.cluster.rm.request(am.app, req);
+            self.ams[wf].tasks.get_mut(&id).expect("listed").t_ready = now;
+            self.request_container(wf, id);
         }
     }
 
@@ -1200,23 +1175,7 @@ impl Runtime {
         let am = &mut self.ams[wf];
         am.memo_hits += 1;
         am.memo_saved_secs += hit.saved_secs;
-        let task = am.tasks.get_mut(&task_id).expect("known task");
-        task.state = TaskState::Done;
-        task.t_ready = now;
-        task.t_start = now;
-        task.t_end = now;
-        let name = task.spec.name.clone();
-        am.reports.push(TaskReport {
-            id: task_id,
-            name: name.clone(),
-            node: format!("memo:{}", hit.node),
-            t_ready: now,
-            t_start: now,
-            t_end: now,
-            attempts: 0,
-            localize_secs: 0.0,
-            commit_secs: 0.0,
-        });
+        let name = am.tasks[&task_id].spec.name.clone();
         if self.tracer.is_enabled() {
             let track = self.node_tracks.first().copied().unwrap_or_else(|| {
                 // Tracer enabled but set_tracer never ran: intern a track.
@@ -1251,226 +1210,262 @@ impl Runtime {
                 ),
             });
         }
-        // Completion tail, same as finish_task's.
-        match self.ams[wf].source.on_task_completed(task_id) {
-            Ok(new_tasks) => self.register_tasks(wf, new_tasks),
-            Err(e) => {
-                self.fail_workflow(wf, e.to_string());
-                return;
-            }
-        }
-        self.check_ready(wf);
-        self.maybe_finish(wf);
+        self.complete_task(
+            wf,
+            TaskReport {
+                id: task_id,
+                name,
+                node: format!("memo:{}", hit.node),
+                t_ready: now,
+                t_start: now,
+                t_end: now,
+                attempts: 0,
+                localize_secs: 0.0,
+                commit_secs: 0.0,
+            },
+        );
+    }
+
+    /// The completion tail shared by executed and memo-satisfied tasks:
+    /// the task is done and reported, and the front-end learns of it —
+    /// iterative discovery (Figure 3) may reveal new tasks.
+    fn complete_task(&mut self, wf: usize, report: TaskReport) {
+        let am = &mut self.ams[wf];
+        let id = report.id;
+        am.tasks.get_mut(&id).expect("known task").state = TaskState::Done;
+        am.reports.push(report);
+        let discovered = am.source.on_task_completed(id);
+        self.advance(wf, discovered);
     }
 
     // ----- worker container lifecycle --------------------------------------
 
-    fn begin_stage_in(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
-        let peer = self.ams[wf]
+    fn attempt_mut(&mut self, wf: usize, task_id: TaskId, attempt: u32) -> Option<&mut Attempt> {
+        self.ams[wf]
             .tasks
-            .get(&task_id)
-            .and_then(|t| t.active.get(&attempt))
-            .map(|a| a.container.node);
-        if peer.is_none() {
-            return; // attempt was cancelled before its container came up
-        }
-        self.charge_master_overhead_from(false, peer);
-        let (node, inputs) = {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("checked above");
-            att.phase = AttemptPhase::StageIn;
-            (att.container.node, task.spec.inputs.clone())
+            .get_mut(&task_id)?
+            .active
+            .get_mut(&attempt)
+    }
+
+    /// Bytes of `path` as staged: an external file's registered size, or
+    /// the HDFS file's length.
+    fn file_size(&self, path: &str) -> u64 {
+        self.cluster
+            .external_file(path)
+            .map(|e| e.size)
+            .or_else(|| self.cluster.hdfs.len(path).ok())
+            .unwrap_or(0)
+    }
+
+    /// Starts an attempt's transfers in one direction — stage-in once its
+    /// container is up, stage-out once its command has run — as one
+    /// completion group per file. An attempt with nothing to transfer
+    /// moves straight on to the next phase.
+    fn begin_transfers(&mut self, wf: usize, task_id: TaskId, attempt: u32, phase: AttemptPhase) {
+        let inbound = phase == AttemptPhase::StageIn;
+        let spec = &self.ams[wf].tasks[&task_id].spec;
+        let files: Vec<String> = if inbound {
+            spec.inputs.clone()
+        } else {
+            spec.outputs.iter().map(|o| o.path.clone()).collect()
         };
+        let Some(att) = self.attempt_mut(wf, task_id, attempt) else {
+            return; // attempt was cancelled before its container came up
+        };
+        att.phase = phase;
+        att.files_remaining = files.len();
+        let node = att.container.node;
+        if inbound {
+            self.charge_master_overhead_from(false, Some(node));
+        }
         let now = self.cluster.engine.now();
         let mut instantly_done: Vec<u32> = Vec::new();
-        {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("checked above");
-            att.files_remaining = inputs.len();
-        }
-        for (fi, path) in inputs.iter().enumerate() {
-            let fi = fi as u32;
-            let tag = Tag::StageIn {
-                wf: wf as u32,
-                task: task_id,
-                attempt,
-                file: fi,
-            };
-            let acts: Vec<ActivityId> = if let Some(ext) = self.cluster.external_file(path) {
-                if ext.size == 0 {
-                    Vec::new()
-                } else {
-                    vec![self.cluster.engine.start(
-                        Activity::Flow {
-                            src: Endpoint::External(ext.service),
-                            dst: Endpoint::Node(node),
-                            src_disk: false,
-                            dst_disk: true,
-                        },
-                        ext.size as f64,
-                        tag,
-                    )]
-                }
-            } else {
-                match self.cluster.hdfs.read_plan(path, node) {
-                    Ok(plan) => hdfs_exec::start_read(&mut self.cluster.engine, &plan, tag),
-                    Err(e) => {
-                        // Replica loss mid-run is an infrastructure fault:
-                        // retry (re-replication may restore the data)
-                        // rather than failing the whole workflow.
-                        let cid = {
-                            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-                            task.active.get(&attempt).expect("checked").container.id
-                        };
-                        self.containers.remove(&cid);
-                        self.cluster.rm.release(cid);
-                        self.handle_attempt_failure(
-                            wf,
-                            task_id,
-                            attempt,
-                            node,
-                            FailureKind::Infra,
-                            &format!("stage-in of '{path}' failed: {e}"),
-                        );
-                        return;
+        for (fi, path) in files.iter().enumerate() {
+            let file = fi as u32;
+            let started =
+                if inbound {
+                    let tag = Tag::StageIn {
+                        wf: wf as u32,
+                        task: task_id,
+                        attempt,
+                        file,
+                    };
+                    match self.cluster.external_file(path) {
+                        Some(ext) if ext.size == 0 => Ok(Vec::new()),
+                        Some(ext) => Ok(vec![self.cluster.engine.start(
+                            Activity::Flow {
+                                src: Endpoint::External(ext.service),
+                                dst: Endpoint::Node(node),
+                                src_disk: false,
+                                dst_disk: true,
+                            },
+                            ext.size as f64,
+                            tag,
+                        )]),
+                        None => self.cluster.hdfs.read_plan(path, node).map(|plan| {
+                            hdfs_exec::start_read(&mut self.cluster.engine, &plan, tag)
+                        }),
                     }
+                } else {
+                    let tag = Tag::StageOut {
+                        wf: wf as u32,
+                        task: task_id,
+                        attempt,
+                        file,
+                    };
+                    self.charge_master_overhead(false);
+                    // A previous attempt may have died mid-stage-out, leaving a
+                    // registered-but-uncommitted file behind; drop it so the
+                    // retry's create succeeds.
+                    self.cluster.discard_uncommitted(path);
+                    let size = self.ams[wf].tasks[&task_id].spec.outputs[fi].size;
+                    self.cluster
+                        .hdfs
+                        .create(path, size, node)
+                        .map(|plan| hdfs_exec::start_write(&mut self.cluster.engine, &plan, tag))
+                };
+            let acts = match started {
+                Ok(acts) => acts,
+                Err(e) => {
+                    // Replica or DataNode loss mid-run is an infrastructure
+                    // fault: retry (re-replication may restore the data)
+                    // rather than failing the whole workflow.
+                    let dir = if inbound { "in" } else { "out" };
+                    let why = format!("stage-{dir} of '{path}' failed: {e}");
+                    return self.handle_attempt_failure(
+                        wf,
+                        task_id,
+                        attempt,
+                        FailureKind::Infra,
+                        &why,
+                    );
                 }
             };
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("checked above");
-            att.group_started.insert(fi, now);
+            let att = self.attempt_mut(wf, task_id, attempt).expect("live");
+            att.group_started.insert(file, now);
             if acts.is_empty() {
-                instantly_done.push(fi);
+                instantly_done.push(file);
             } else {
-                att.group_remaining.insert(fi, acts.len());
+                att.group_remaining.insert(file, acts.len());
                 att.inflight.extend(acts);
             }
         }
-        for fi in instantly_done {
-            self.on_stage_in_done(wf, task_id, attempt, fi);
+        for file in instantly_done {
+            self.on_transfer_done(wf, task_id, attempt, phase, file);
         }
-        // Zero-input tasks go straight to execution.
-        if inputs.is_empty() {
-            self.begin_exec(wf, task_id, attempt);
+        if files.is_empty() {
+            self.transfers_done(wf, task_id, attempt, phase);
         }
     }
 
-    fn on_stage_in_done(&mut self, wf: usize, task_id: TaskId, attempt: u32, file: u32) {
+    /// One transfer activity of `file` finished. The file is staged once
+    /// its whole group has: a stage-out commits it, both directions record
+    /// it in provenance, and the last file moves the attempt on.
+    fn on_transfer_done(
+        &mut self,
+        wf: usize,
+        task_id: TaskId,
+        attempt: u32,
+        phase: AttemptPhase,
+        file: u32,
+    ) {
         let now = self.cluster.engine.now();
-        let finished_file = {
-            let att = match self.ams[wf]
-                .tasks
-                .get_mut(&task_id)
-                .and_then(|t| t.active.get_mut(&attempt))
-            {
-                Some(a) if a.phase == AttemptPhase::StageIn => a,
-                _ => return, // stale event after failure/cancel
-            };
-            match att.group_remaining.get_mut(&file) {
-                Some(rem) if *rem > 1 => {
-                    *rem -= 1;
-                    false
-                }
-                _ => {
-                    att.group_remaining.remove(&file);
-                    true
-                }
-            }
+        let att = match self.attempt_mut(wf, task_id, attempt) {
+            Some(a) if a.phase == phase => a,
+            _ => return, // stale event after failure/cancel
         };
-        if !finished_file {
+        if let Some(rem) = att.group_remaining.get_mut(&file).filter(|rem| **rem > 1) {
+            *rem -= 1;
             return;
         }
-        // Record the file-level provenance event.
-        let (path, size, started) = {
-            let task = &self.ams[wf].tasks[&task_id];
-            let att = &task.active[&attempt];
-            let path = task.spec.inputs[file as usize].clone();
-            let size = self
-                .cluster
-                .external_file(&path)
-                .map(|e| e.size)
-                .or_else(|| self.cluster.hdfs.len(&path).ok())
-                .unwrap_or(0);
-            (path, size, att.group_started[&file])
+        att.group_remaining.remove(&file);
+        let started = att.group_started[&file];
+        let inbound = phase == AttemptPhase::StageIn;
+        let spec = &self.ams[wf].tasks[&task_id].spec;
+        let path = if inbound {
+            spec.inputs[file as usize].clone()
+        } else {
+            spec.outputs[file as usize].path.clone()
         };
+        if !inbound {
+            self.cluster.commit_file(&path);
+        }
+        let size = self.file_size(&path);
         self.ams[wf].prov.record_file(FileEvent {
             path,
             size,
             task: task_id.0,
-            direction: "in".into(),
+            direction: if inbound { "in" } else { "out" }.into(),
             transfer_seconds: now.since(started),
         });
-        let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-        let att = task.active.get_mut(&attempt).expect("checked above");
+        let att = self.attempt_mut(wf, task_id, attempt).expect("live");
         att.files_remaining -= 1;
         if att.files_remaining == 0 {
+            self.transfers_done(wf, task_id, attempt, phase);
+        }
+    }
+
+    /// Every file of `phase` is staged: after stage-in the command runs,
+    /// after stage-out the task is committed.
+    fn transfers_done(&mut self, wf: usize, task_id: TaskId, attempt: u32, phase: AttemptPhase) {
+        if phase == AttemptPhase::StageIn {
             self.begin_exec(wf, task_id, attempt);
+        } else {
+            self.finish_task(wf, task_id, attempt);
         }
     }
 
     fn begin_exec(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
         let now = self.cluster.engine.now().as_secs();
-        let am = &mut self.ams[wf];
-        let task = am.tasks.get_mut(&task_id).expect("known task");
-        let att = task.active.get_mut(&attempt).expect("attempt live");
+        let full_node = self.ams[wf].config.multithread_full_node;
+        let cost = self.ams[wf].tasks[&task_id].spec.cost;
+        let att = self.attempt_mut(wf, task_id, attempt).expect("live");
         att.phase = AttemptPhase::Running;
         att.inflight.clear();
         att.files_remaining = 1;
         att.t_exec_start = now;
-        att.scratch_done = task.spec.cost.scratch_bytes == 0;
+        att.scratch_done = cost.scratch_bytes == 0;
         let container = att.container;
-        let node_cores = self.cluster.engine.spec().node(container.node).cores;
-        let cap = if am.config.multithread_full_node {
-            node_cores
+        let cap = if full_node {
+            self.cluster.engine.spec().node(container.node).cores
         } else {
             container.resource.vcores
         };
-        let threads = task.spec.cost.threads.min(cap.max(1)).max(1) as f64;
+        let threads = cost.threads.min(cap.max(1)).max(1) as f64;
         let act = self.cluster.engine.start(
             Activity::Compute {
                 node: container.node,
                 threads,
             },
-            task.spec.cost.cpu_seconds,
+            cost.cpu_seconds,
             Tag::Exec {
                 wf: wf as u32,
                 task: task_id,
                 attempt,
             },
         );
-        task.active
-            .get_mut(&attempt)
-            .expect("attempt live")
-            .inflight
-            .insert(act);
+        let att = self.attempt_mut(wf, task_id, attempt).expect("live");
+        att.inflight.insert(act);
     }
 
     fn on_exec_done(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
-        let scratch_pending = {
-            let att = match self.ams[wf]
-                .tasks
-                .get_mut(&task_id)
-                .and_then(|t| t.active.get_mut(&attempt))
-            {
-                Some(a) if a.phase == AttemptPhase::Running => a,
-                _ => return,
-            };
-            att.files_remaining = att.files_remaining.saturating_sub(1);
-            if att.files_remaining > 0 {
-                return; // more execution-phase activities outstanding
-            }
-            att.inflight.clear();
-            !att.scratch_done
+        let att = match self.attempt_mut(wf, task_id, attempt) {
+            Some(a) if a.phase == AttemptPhase::Running => a,
+            _ => return,
         };
-        if scratch_pending {
+        att.files_remaining = att.files_remaining.saturating_sub(1);
+        if att.files_remaining > 0 {
+            return; // more execution-phase activities outstanding
+        }
+        att.inflight.clear();
+        if !att.scratch_done {
             // Working-directory I/O: the tool writes its temporary files
             // and reads them back — on the node's *local* disk under
             // Hi-WAY (cf. Figure 8's analysis).
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known");
-            let att = task.active.get_mut(&attempt).expect("live");
             att.scratch_done = true;
             let node = att.container.node;
-            let bytes = task.spec.cost.scratch_bytes as f64;
+            let bytes = self.ams[wf].tasks[&task_id].spec.cost.scratch_bytes as f64;
             let tag = Tag::Exec {
                 wf: wf as u32,
                 task: task_id,
@@ -1484,13 +1479,7 @@ impl Runtime {
                 .cluster
                 .engine
                 .start(Activity::DiskRead { node }, bytes, tag);
-            let att = self.ams[wf]
-                .tasks
-                .get_mut(&task_id)
-                .expect("known")
-                .active
-                .get_mut(&attempt)
-                .expect("live");
+            let att = self.attempt_mut(wf, task_id, attempt).expect("live");
             att.files_remaining = 2;
             att.inflight.insert(w);
             att.inflight.insert(r);
@@ -1509,20 +1498,34 @@ impl Runtime {
         // Simulated tool crash?
         let fail_prob = self.ams[wf].config.task_failure_prob;
         if fail_prob > 0.0 && self.ams[wf].rng.gen_bool(fail_prob.clamp(0.0, 1.0)) {
-            let container = self.ams[wf].tasks[&task_id].active[&attempt].container;
-            self.containers.remove(&container.id);
-            self.cluster.rm.release(container.id);
-            self.handle_attempt_failure(
+            return self.handle_attempt_failure(
                 wf,
                 task_id,
                 attempt,
-                container.node,
                 FailureKind::Task,
                 "simulated tool failure",
             );
-            return;
         }
-        self.begin_stage_out(wf, task_id, attempt);
+        self.begin_transfers(wf, task_id, attempt, AttemptPhase::StageOut);
+    }
+
+    /// The only way an attempt ends, whether it committed, failed, lost a
+    /// speculation race or its workflow ended: the attempt is removed, its
+    /// in-flight activities are cancelled, and its container is unmapped
+    /// and its lease released (a no-op for a container that died with its
+    /// node). Returns the ended attempt, or `None` if it had already ended.
+    fn end_attempt(&mut self, wf: usize, task_id: TaskId, attempt: u32) -> Option<Attempt> {
+        let att = self.ams[wf]
+            .tasks
+            .get_mut(&task_id)?
+            .active
+            .remove(&attempt)?;
+        for &act in &att.inflight {
+            self.cluster.engine.cancel(act);
+        }
+        self.containers.remove(&att.container.id);
+        self.cluster.rm.release(att.container.id);
+        Some(att)
     }
 
     /// Cancels every active attempt of the task except `winner` — the
@@ -1537,18 +1540,7 @@ impl Runtime {
             .collect();
         let now = self.cluster.engine.now().as_secs();
         for aid in losers {
-            let att = self.ams[wf]
-                .tasks
-                .get_mut(&task_id)
-                .expect("known")
-                .active
-                .remove(&aid)
-                .expect("listed");
-            for act in att.inflight {
-                self.cluster.engine.cancel(act);
-            }
-            self.containers.remove(&att.container.id);
-            self.cluster.rm.release(att.container.id);
+            let att = self.end_attempt(wf, task_id, aid).expect("listed");
             let wasted = (now - att.t_start).max(0.0);
             let node_name = self.cluster.node_name(att.container.node).to_string();
             // Either twin can lose the race: the duplicate overtaking the
@@ -1582,267 +1574,123 @@ impl Runtime {
         }
     }
 
-    fn begin_stage_out(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
-        let (node, outputs) = {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("live");
-            att.phase = AttemptPhase::StageOut;
-            (att.container.node, task.spec.outputs.clone())
-        };
-        let now = self.cluster.engine.now();
-        {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("live");
-            att.files_remaining = outputs.len();
-        }
-        if outputs.is_empty() {
-            self.finish_task(wf, task_id, attempt);
-            return;
-        }
-        let mut instantly_done: Vec<u32> = Vec::new();
-        for (oi, out) in outputs.iter().enumerate() {
-            let oi = oi as u32;
-            self.charge_master_overhead(false);
-            // A previous attempt may have died mid-stage-out, leaving a
-            // registered-but-uncommitted file behind; drop it so the
-            // retry's create succeeds.
-            self.cluster.discard_uncommitted(&out.path);
-            let plan = match self.cluster.hdfs.create(&out.path, out.size, node) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    let cid = self.ams[wf].tasks[&task_id].active[&attempt].container.id;
-                    self.containers.remove(&cid);
-                    self.cluster.rm.release(cid);
-                    self.handle_attempt_failure(
-                        wf,
-                        task_id,
-                        attempt,
-                        node,
-                        FailureKind::Infra,
-                        &format!("stage-out of '{}' failed: {e}", out.path),
-                    );
-                    return;
-                }
-            };
-            let tag = Tag::StageOut {
-                wf: wf as u32,
-                task: task_id,
-                attempt,
-                file: oi,
-            };
-            let acts = hdfs_exec::start_write(&mut self.cluster.engine, &plan, tag);
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            let att = task.active.get_mut(&attempt).expect("live");
-            att.group_started.insert(oi, now);
-            if acts.is_empty() {
-                instantly_done.push(oi);
-            } else {
-                att.group_remaining.insert(oi, acts.len());
-                att.inflight.extend(acts);
-            }
-        }
-        for oi in instantly_done {
-            self.on_stage_out_done(wf, task_id, attempt, oi);
-        }
-    }
-
-    fn on_stage_out_done(&mut self, wf: usize, task_id: TaskId, attempt: u32, file: u32) {
-        let now = self.cluster.engine.now();
-        let finished_file = {
-            let att = match self.ams[wf]
-                .tasks
-                .get_mut(&task_id)
-                .and_then(|t| t.active.get_mut(&attempt))
-            {
-                Some(a) if a.phase == AttemptPhase::StageOut => a,
-                _ => return,
-            };
-            match att.group_remaining.get_mut(&file) {
-                Some(rem) if *rem > 1 => {
-                    *rem -= 1;
-                    false
-                }
-                _ => {
-                    att.group_remaining.remove(&file);
-                    true
-                }
-            }
-        };
-        if !finished_file {
-            return;
-        }
-        let (path, size, started) = {
-            let task = &self.ams[wf].tasks[&task_id];
-            let att = &task.active[&attempt];
-            let out = &task.spec.outputs[file as usize];
-            (out.path.clone(), out.size, att.group_started[&file])
-        };
-        self.cluster.commit_file(&path);
-        self.ams[wf].prov.record_file(FileEvent {
-            path,
-            size,
-            task: task_id.0,
-            direction: "out".into(),
-            transfer_seconds: now.since(started),
-        });
-        let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-        let att = task.active.get_mut(&attempt).expect("live");
-        att.files_remaining -= 1;
-        if att.files_remaining == 0 {
-            self.finish_task(wf, task_id, attempt);
-        }
-    }
-
     fn finish_task(&mut self, wf: usize, task_id: TaskId, attempt: u32) {
         // Defensive: a twin should already have been cancelled at exec-win.
         self.cancel_other_attempts(wf, task_id, attempt);
+        let att = self
+            .end_attempt(wf, task_id, attempt)
+            .expect("winner is live");
         let now = self.cluster.engine.now().as_secs();
-        let (container, event, report) = {
-            let task = self.ams[wf].tasks.get_mut(&task_id).expect("known task");
-            task.state = TaskState::Done;
-            task.t_end = now;
-            let att = task.active.remove(&attempt).expect("winner is live");
-            let container = att.container;
-            let node_name = self.cluster.node_name(container.node).to_string();
-            let spec = &task.spec;
-            let event = TaskEvent {
-                id: task_id.0,
-                name: spec.name.clone(),
-                command: spec.command.clone(),
-                inputs: spec
-                    .inputs
-                    .iter()
-                    .map(|p| {
-                        let size = self
-                            .cluster
-                            .external_file(p)
-                            .map(|e| e.size)
-                            .or_else(|| self.cluster.hdfs.len(p).ok())
-                            .unwrap_or(0);
-                        (p.clone(), size)
-                    })
-                    .collect(),
-                outputs: spec
-                    .outputs
-                    .iter()
-                    .map(|o| (o.path.clone(), o.size))
-                    .collect(),
-                cpu_seconds: spec.cost.cpu_seconds,
-                threads: spec.cost.threads,
-                memory_mb: spec.cost.memory_mb,
-                node: node_name.clone(),
-                t_start: task.t_start,
-                t_end: now,
-                attempts: task.attempts,
-                stdout: format!("task {} ok", spec.name),
-                stderr: String::new(),
-            };
-            // Phase breakdown of the winning attempt: localization covers
-            // container startup plus stage-in (up to the compute start),
-            // commit covers stage-out (from compute end to now).
-            let localize_secs = (att.t_exec_start - att.t_start).max(0.0);
-            let commit_secs = (now - task.t_exec_end).max(0.0);
-            if self.tracer.is_enabled() {
-                let track = self.node_tracks[container.node.index()];
-                let wait = (task.t_start - task.t_ready).max(0.0);
-                self.tracer.span(
-                    track,
-                    &spec.name,
-                    "container",
-                    att.t_start,
-                    now,
-                    &[
-                        ("task", task_id.0.to_string()),
-                        ("attempt", attempt.to_string()),
-                        ("wait_secs", format!("{wait:.6}")),
-                        ("localize_secs", format!("{localize_secs:.6}")),
-                        ("commit_secs", format!("{commit_secs:.6}")),
-                    ],
-                );
-                self.tracer.span(
-                    track,
-                    "phase:localize",
-                    "phase",
-                    att.t_start,
-                    att.t_exec_start,
-                    &[],
-                );
-                self.tracer.span(
-                    track,
-                    "phase:execute",
-                    "phase",
-                    att.t_exec_start,
-                    task.t_exec_end,
-                    &[],
-                );
-                self.tracer
-                    .span(track, "phase:commit", "phase", task.t_exec_end, now, &[]);
-                self.tracer.inc("driver.tasks_finished", 1);
-                self.tracer.observe("driver.wait_secs", wait);
-                self.tracer.observe("driver.localize_secs", localize_secs);
-                self.tracer.observe("driver.commit_secs", commit_secs);
-            }
-            let report = TaskReport {
-                id: task_id,
-                name: spec.name.clone(),
-                node: node_name,
-                t_ready: task.t_ready,
-                t_start: task.t_start,
-                t_end: now,
-                attempts: task.attempts,
-                localize_secs,
-                commit_secs,
-            };
-            (container, event, report)
+        let node_name = self.cluster.node_name(att.container.node).to_string();
+        let task = &self.ams[wf].tasks[&task_id];
+        let spec = &task.spec;
+        let event = TaskEvent {
+            id: task_id.0,
+            name: spec.name.clone(),
+            command: spec.command.clone(),
+            inputs: spec
+                .inputs
+                .iter()
+                .map(|p| (p.clone(), self.file_size(p)))
+                .collect(),
+            outputs: spec
+                .outputs
+                .iter()
+                .map(|o| (o.path.clone(), o.size))
+                .collect(),
+            cpu_seconds: spec.cost.cpu_seconds,
+            threads: spec.cost.threads,
+            memory_mb: spec.cost.memory_mb,
+            node: node_name.clone(),
+            t_start: task.t_start,
+            t_end: now,
+            attempts: task.attempts,
+            stdout: format!("task {} ok", spec.name),
+            stderr: String::new(),
         };
-        self.containers.remove(&container.id);
-        self.cluster.rm.release(container.id);
+        // Phase breakdown of the winning attempt: localization covers
+        // container startup plus stage-in (up to the compute start),
+        // commit covers stage-out (from compute end to now).
+        let localize_secs = (att.t_exec_start - att.t_start).max(0.0);
+        let commit_secs = (now - task.t_exec_end).max(0.0);
+        if self.tracer.is_enabled() {
+            let track = self.node_tracks[att.container.node.index()];
+            let wait = (task.t_start - task.t_ready).max(0.0);
+            self.tracer.span(
+                track,
+                &spec.name,
+                "container",
+                att.t_start,
+                now,
+                &[
+                    ("task", task_id.0.to_string()),
+                    ("attempt", attempt.to_string()),
+                    ("wait_secs", format!("{wait:.6}")),
+                    ("localize_secs", format!("{localize_secs:.6}")),
+                    ("commit_secs", format!("{commit_secs:.6}")),
+                ],
+            );
+            self.tracer.span(
+                track,
+                "phase:localize",
+                "phase",
+                att.t_start,
+                att.t_exec_start,
+                &[],
+            );
+            self.tracer.span(
+                track,
+                "phase:execute",
+                "phase",
+                att.t_exec_start,
+                task.t_exec_end,
+                &[],
+            );
+            self.tracer
+                .span(track, "phase:commit", "phase", task.t_exec_end, now, &[]);
+            self.tracer.inc("driver.tasks_finished", 1);
+            self.tracer.observe("driver.wait_secs", wait);
+            self.tracer.observe("driver.localize_secs", localize_secs);
+            self.tracer.observe("driver.commit_secs", commit_secs);
+        }
+        let report = TaskReport {
+            id: task_id,
+            name: spec.name.clone(),
+            node: node_name,
+            t_ready: task.t_ready,
+            t_start: task.t_start,
+            t_end: now,
+            attempts: task.attempts,
+            localize_secs,
+            commit_secs,
+        };
         // Memoize the committed invocation in its task-event document.
         let memoizes = self.ams[wf].memoizes();
         let key = memoizes.then(|| self.memo_key_for(wf, task_id)).flatten();
         self.ams[wf].prov.record_task(event, key.as_deref());
-        self.ams[wf].reports.push(report);
         self.charge_master_overhead(false);
-
-        // Iterative discovery (Figure 3): the completion may reveal tasks.
-        match self.ams[wf].source.on_task_completed(task_id) {
-            Ok(new_tasks) => self.register_tasks(wf, new_tasks),
-            Err(e) => {
-                self.fail_workflow(wf, e.to_string());
-                return;
-            }
-        }
-        self.check_ready(wf);
-        self.maybe_finish(wf);
+        self.complete_task(wf, report);
     }
 
     /// One attempt of a task died. The failure kind decides which retry
     /// budget it burns: infrastructure losses (node crash, preemption,
     /// storage loss) are not the task's fault and have their own, larger
-    /// allowance. The caller has already released the container lease (or
-    /// the node failure did). Surviving speculative twins keep the task
-    /// going without a retry; otherwise the task re-enters the queue after
-    /// an exponential backoff.
+    /// allowance. Surviving speculative twins keep the task going without
+    /// a retry; otherwise the task re-enters the queue after an
+    /// exponential backoff.
     fn handle_attempt_failure(
         &mut self,
         wf: usize,
         task_id: TaskId,
         attempt: u32,
-        node: NodeId,
         kind: FailureKind,
         why: &str,
     ) {
-        let now = self.cluster.engine.now().as_secs();
-        let Some(task) = self.ams[wf].tasks.get_mut(&task_id) else {
-            return;
-        };
-        let Some(att) = task.active.remove(&attempt) else {
+        let Some(att) = self.end_attempt(wf, task_id, attempt) else {
             return; // already cancelled or finished
         };
-        for act in att.inflight {
-            self.cluster.engine.cancel(act);
-        }
-        self.containers.remove(&att.container.id);
+        let now = self.cluster.engine.now().as_secs();
+        let node = att.container.node;
         let wasted = (now - att.t_start).max(0.0);
         let node_name = self.cluster.node_name(node).to_string();
         let am = &mut self.ams[wf];
@@ -1890,152 +1738,156 @@ impl Runtime {
             self.tracer.observe("driver.wasted_secs", wasted);
         }
 
-        let task = self.ams[wf]
-            .tasks
-            .get_mut(&task_id)
-            .expect("looked up above");
+        let am = &mut self.ams[wf];
+        let task = am.tasks.get_mut(&task_id).expect("known task");
         if !task.active.is_empty() {
             // A speculative twin is still running and carries the task.
             task.speculating = false;
             return;
         }
-        let config = &self.ams[wf].config;
-        let (exhausted, budget_name) = {
-            let task = &self.ams[wf].tasks[&task_id];
-            match kind {
-                FailureKind::Task => (task.task_failures > config.task_retries, "task"),
-                FailureKind::Infra => (task.infra_failures > config.infra_retries, "infra"),
-            }
+        let (exhausted, budget_name) = match kind {
+            FailureKind::Task => (task.task_failures > am.config.task_retries, "task"),
+            FailureKind::Infra => (task.infra_failures > am.config.infra_retries, "infra"),
         };
         if exhausted {
-            self.fail_workflow(
-                wf,
-                format!(
-                    "task {task_id:?} failed too many times ({budget_name} budget; last: {why})"
-                ),
+            let why = format!(
+                "task {task_id:?} failed too many times ({budget_name} budget; last: {why})"
             );
-            return;
+            return self.end_workflow(wf, Err(why));
         }
         // Exponential backoff before the fresh container ask; YARN will
         // place the retry "on different compute nodes" thanks to the
         // avoid list and the node blacklist.
-        let failures = {
-            let task = &self.ams[wf].tasks[&task_id];
-            (task.task_failures + task.infra_failures).max(1)
-        };
-        let base = self.ams[wf].config.retry_backoff_secs;
-        let max = self.ams[wf].config.retry_backoff_max_secs;
+        let failures = (task.task_failures + task.infra_failures).max(1);
+        let (base, max) = (
+            am.config.retry_backoff_secs,
+            am.config.retry_backoff_max_secs,
+        );
         let delay = (base * 2f64.powi(failures as i32 - 1)).min(max.max(base));
         if delay > 0.0 {
-            self.ams[wf].tasks.get_mut(&task_id).expect("known").state = TaskState::Backoff;
-            self.cluster.engine.set_timer_after(
-                delay,
-                Tag::RetryTask {
-                    wf: wf as u32,
-                    task: task_id,
-                },
-            );
+            task.state = TaskState::Backoff;
+            let retry = Tag::RetryTask {
+                wf: wf as u32,
+                task: task_id,
+            };
+            self.cluster.engine.set_timer_after(delay, retry);
         } else {
-            self.requeue_task(wf, task_id);
+            self.request_container(wf, task_id);
         }
     }
 
     /// A task's retry backoff elapsed: put it back in the ready queue with
     /// a fresh container request.
     fn on_retry_due(&mut self, wf: usize, task_id: TaskId) {
-        if !self.ams[wf].active() {
-            return;
-        }
-        let due = self.ams[wf]
-            .tasks
-            .get(&task_id)
-            .is_some_and(|t| t.state == TaskState::Backoff);
-        if !due {
-            return;
-        }
-        self.requeue_task(wf, task_id);
-        self.arm_heartbeat();
-    }
-
-    fn requeue_task(&mut self, wf: usize, task_id: TaskId) {
-        let resource = {
-            let spec = &self.ams[wf].tasks[&task_id].spec;
-            self.container_resource_for(wf, spec)
-        };
-        let am = &mut self.ams[wf];
-        let task = am.tasks.get_mut(&task_id).expect("known task");
-        task.state = TaskState::Requested;
-        am.ready_order.push(task_id);
-        let req = am.scheduler.container_request(&task.spec, resource);
-        self.cluster.rm.request(am.app, req);
-    }
-
-    /// The one teardown for every way a workflow ends other than success
-    /// (task budget exhausted, front-end error, stall, AM loss, refused
-    /// start, unsatisfiable request): cancel everything in flight, release
-    /// every lease, withdraw the outstanding requests, finish the app.
-    fn fail_workflow(&mut self, wf: usize, message: String) {
-        let am = &mut self.ams[wf];
-        am.error = Some(message);
-        // Cancel everything in flight and release the containers.
-        let inflight: Vec<(ContainerId, TaskId, u32)> = self
-            .containers
-            .iter()
-            .filter(|(_, (w, _, _))| *w == wf)
-            .map(|(cid, (_, tid, aid))| (*cid, *tid, *aid))
-            .collect();
-        for (cid, tid, aid) in inflight {
-            if let Some(task) = self.ams[wf].tasks.get_mut(&tid) {
-                if let Some(att) = task.active.remove(&aid) {
-                    for act in att.inflight {
-                        self.cluster.engine.cancel(act);
-                    }
-                }
-            }
-            self.containers.remove(&cid);
-            self.cluster.rm.release(cid);
-        }
-        if let Some(c) = self.ams[wf].am_container.take() {
-            self.cluster.rm.release(c.id);
-        }
-        self.cluster.rm.withdraw_requests(self.ams[wf].app);
-        self.cluster.rm.finish_app(self.ams[wf].app);
-    }
-
-    fn maybe_finish(&mut self, wf: usize) {
         let am = &self.ams[wf];
-        if am.done
-            || !am.source.is_complete()
-            || !am.tasks.values().all(|t| t.state == TaskState::Done)
-        {
-            return;
+        let due = am.active()
+            && am
+                .tasks
+                .get(&task_id)
+                .is_some_and(|t| t.state == TaskState::Backoff);
+        if due {
+            self.request_container(wf, task_id);
+            self.arm_heartbeat();
+        }
+    }
+
+    /// The one way a workflow ends, successfully or not: every attempt
+    /// ends (in task-id order), the AM container is released, the app's
+    /// outstanding requests are withdrawn, the end instant is stamped and
+    /// the admission slot is freed. A success also compacts the store and
+    /// renders the trace.
+    fn end_workflow(&mut self, wf: usize, outcome: Result<(), String>) {
+        let attempts: Vec<(TaskId, u32)> = self.ams[wf]
+            .tasks
+            .iter()
+            .flat_map(|(id, t)| t.active.keys().map(move |a| (*id, *a)))
+            .collect();
+        for (task_id, attempt) in attempts {
+            self.end_attempt(wf, task_id, attempt);
         }
         let now = self.cluster.engine.now().as_secs();
         let am = &mut self.ams[wf];
-        am.done = true;
-        am.t_finish = now;
-        // Deterministic compaction point: fold the run's WAL into a
-        // snapshot segment now that the workflow is complete (no-op for
-        // in-memory stores). Background compaction would be unsound in
-        // virtual time; end-of-run is the natural quiesce point.
-        let _ = am.prov.db().compact();
-        if self.tracer.is_enabled() {
-            let stats = am.prov.db().stats();
-            self.tracer
-                .set_gauge("provdb.wal_records", stats.wal_records as f64);
-            self.tracer
-                .set_gauge("provdb.wal_bytes", stats.wal_bytes as f64);
-            self.tracer
-                .set_gauge("provdb.wal_rotations", stats.wal_rotations as f64);
-            self.tracer
-                .set_gauge("provdb.compactions", stats.compactions as f64);
-        }
         if let Some(c) = am.am_container.take() {
             self.cluster.rm.release(c.id);
         }
+        self.cluster.rm.withdraw_requests(am.app);
+        am.t_finish = now;
+        if outcome.is_ok() {
+            // Deterministic compaction point: fold the run's WAL into a
+            // snapshot segment now that the workflow is complete (no-op
+            // for in-memory stores). Background compaction would be
+            // unsound in virtual time; end-of-run is the natural quiesce
+            // point.
+            let _ = am.prov.db().compact();
+            if self.tracer.is_enabled() {
+                let stats = am.prov.db().stats();
+                self.tracer
+                    .set_gauge("provdb.wal_records", stats.wal_records as f64);
+                self.tracer
+                    .set_gauge("provdb.wal_bytes", stats.wal_bytes as f64);
+                self.tracer
+                    .set_gauge("provdb.wal_rotations", stats.wal_rotations as f64);
+                self.tracer
+                    .set_gauge("provdb.compactions", stats.compactions as f64);
+            }
+            if am.config.write_trace {
+                let total = (now - am.t_submit).max(0.0);
+                let (name, language) = (am.source.name(), am.source.language());
+                am.trace = Some(am.prov.finish_workflow(name, language, total));
+            }
+        }
+        am.end = Some(outcome);
         // Free the admission slot: the oldest queued submission (if any)
         // takes it on the next heartbeat.
-        self.cluster.rm.finish_app(self.ams[wf].app);
+        self.cluster.rm.finish_app(am.app);
+    }
+
+    /// The end-of-run invariant, for use once every workflow has ended: no
+    /// container is leased or mapped to an attempt, no request is pending,
+    /// no queue holds usage, no activity other than background load and
+    /// re-replication is live, and every successful workflow has each of
+    /// its tasks done and reported exactly once. `Err` names the first
+    /// leak found.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let rm = &self.cluster.rm;
+        if let Some(am) = self.ams.iter().find(|am| am.active()) {
+            return Err(format!("workflow '{}' is still running", am.source.name()));
+        }
+        if rm.running_containers() > 0 || !self.containers.is_empty() {
+            return Err(format!(
+                "{} container leases held, {} mapped to attempts",
+                rm.running_containers(),
+                self.containers.len()
+            ));
+        }
+        if rm.pending_requests() > 0 {
+            return Err(format!("{} requests pending", rm.pending_requests()));
+        }
+        for queue in rm.queue_names() {
+            if let Some(used) = rm.queue_usage(&queue).filter(|u| *u != Resource::ZERO) {
+                return Err(format!("queue '{queue}' still uses {used:?}"));
+            }
+        }
+        let engine = &self.cluster.engine;
+        if let Some(tag) = engine
+            .live_tags()
+            .find(|t| !matches!(t, Tag::Stress | Tag::Replication))
+        {
+            return Err(format!("activity {tag:?} still live"));
+        }
+        for (wf, am) in self.ams.iter().enumerate() {
+            let (done, total) = self.progress(wf);
+            let reported: HashSet<TaskId> = am.reports.iter().map(|r| r.id).collect();
+            let accounted = done == total && reported.len() == total && am.reports.len() == total;
+            if am.end == Some(Ok(())) && !accounted {
+                return Err(format!(
+                    "workflow '{}' succeeded with {done} of {total} tasks done and {} task reports",
+                    am.source.name(),
+                    am.reports.len()
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn charge_master_overhead(&mut self, hadoop_side: bool) {

@@ -285,13 +285,18 @@ impl FaultInjector {
 
     /// Runs `rt` to completion, injecting the plan's events at their
     /// virtual times. Events past the workflows' finish are ignored.
-    /// With an empty plan this is exactly `rt.run_to_completion()`.
+    /// With an empty plan this is exactly `rt.run_to_completion()`. Either
+    /// way the run must end conserved (see `Runtime::check_conservation`).
     pub fn run(&mut self, rt: &mut Runtime) -> Vec<WorkflowReport> {
         while self.cursor < self.plan.events.len() {
             let ev = self.plan.events[self.cursor];
             self.cursor += 1;
             if !rt.run_until(SimTime::from_secs(ev.at)) {
-                return rt.reports(); // all workflows finished (or failed)
+                // All workflows finished (or failed).
+                if let Err(leak) = rt.check_conservation() {
+                    panic!("chaos run ended without conserving its resources: {leak}");
+                }
+                return rt.reports();
             }
             self.apply(rt, ev);
         }

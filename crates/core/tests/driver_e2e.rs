@@ -1101,3 +1101,98 @@ fn unknown_queue_submission_fails_cleanly() {
     let err = rt.error_of(idx).expect("unknown queue must fail");
     assert!(err.contains("unknown queue"), "{err}");
 }
+
+#[test]
+fn reports_are_idempotent() {
+    use hiway_core::provenance::WORKFLOWS_COLLECTION;
+    let mut cluster = small_cluster(3);
+    cluster.prestage("/in", 20 << 20);
+    let mut rt = Runtime::new(cluster);
+    let wf = rt.submit(Box::new(diamond()), HiwayConfig::default(), ProvDb::new());
+    let first = rt.run_to_completion();
+    let second = rt.reports();
+    assert!(first[wf].trace.contains("\"join\""), "{}", first[wf].trace);
+    assert_eq!(first[wf].trace, second[wf].trace);
+    assert_eq!(first[wf].trace_path, second[wf].trace_path);
+    assert_eq!(first[wf].t_finish, second[wf].t_finish);
+    let docs = rt
+        .provenance(wf)
+        .db()
+        .collection(WORKFLOWS_COLLECTION)
+        .query()
+        .collect();
+    assert_eq!(docs.len(), 1, "one workflow document per run");
+}
+
+#[test]
+fn a_failed_workflow_finishes_at_its_failure_instant() {
+    // The Cuneiform workflow is refused as soon as its AM starts (static
+    // policy, iterative language); the other one runs for ~100 s.
+    let src = r#"
+        deftask t( out("o.dat", 1) : x ) cpu 1;
+        target t(file("/in", 1));
+    "#;
+    let mut cluster = small_cluster(3);
+    cluster.prestage("/in", 1);
+    let mut rt = Runtime::new(cluster);
+    let refused = rt.submit(
+        Box::new(CuneiformWorkflow::parse("iter", src, 0).unwrap()),
+        HiwayConfig::default().with_scheduler(SchedulerPolicy::Heft),
+        ProvDb::new(),
+    );
+    let long = StaticWorkflow::new(
+        "long",
+        "test",
+        vec![task(0, "long", &["/in"], &[("/long.out", 1 << 10)], 100.0)],
+    );
+    let ok = rt.submit(Box::new(long), HiwayConfig::default(), ProvDb::new());
+    let reports = rt.run_to_completion();
+    assert!(rt.error_of(refused).is_some());
+    assert!(rt.error_of(ok).is_none(), "{:?}", rt.error_of(ok));
+    assert!(reports[ok].t_finish > 100.0, "{}", reports[ok].t_finish);
+    // The AM container is granted on the first heartbeat and refused on
+    // the spot.
+    let heartbeat = HiwayConfig::default().heartbeat_secs;
+    assert_eq!(reports[refused].t_finish, heartbeat);
+}
+
+#[test]
+fn conservation_check_names_a_leaked_request_and_a_live_activity() {
+    use hiway_core::cluster::Tag;
+    use hiway_sim::Activity;
+    use hiway_yarn::{ContainerRequest, Resource};
+    let mut cluster = small_cluster(3);
+    cluster.prestage("/in", 20 << 20);
+    let mut rt = Runtime::new(cluster);
+    rt.submit(Box::new(diamond()), HiwayConfig::default(), ProvDb::new());
+    rt.run_to_completion();
+    assert_eq!(rt.check_conservation(), Ok(()));
+
+    let app = rt.cluster.rm.submit_app("leaky");
+    rt.cluster
+        .rm
+        .request(app, ContainerRequest::anywhere(Resource::new(1, 256)));
+    let err = rt
+        .check_conservation()
+        .expect_err("a pending request leaks");
+    assert!(err.contains("1 requests pending"), "{err}");
+    rt.cluster.rm.withdraw_requests(app);
+    assert_eq!(rt.check_conservation(), Ok(()));
+
+    let compute = Activity::Compute {
+        node: NodeId(1),
+        threads: 1.0,
+    };
+    let exec = Tag::Exec {
+        wf: 0,
+        task: TaskId(3),
+        attempt: 0,
+    };
+    let act = rt.cluster.engine.start(compute, 10.0, exec);
+    let err = rt.check_conservation().expect_err("a live Exec leaks");
+    assert!(err.contains("Exec"), "{err}");
+    // Background load is not a leak.
+    rt.cluster.engine.cancel(act);
+    rt.cluster.add_cpu_stress(NodeId(1), 1);
+    assert_eq!(rt.check_conservation(), Ok(()));
+}

@@ -156,10 +156,6 @@ impl Hdfs {
         self.files.is_empty()
     }
 
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     pub fn status(&self, path: &str) -> Result<FileStatus, HdfsError> {
         let meta = self
             .files

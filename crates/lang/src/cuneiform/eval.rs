@@ -125,7 +125,6 @@ pub struct CuneiformWorkflow {
     /// Memoized applications: rendered key → state.
     memo: BTreeMap<String, TaskState>,
     by_id: HashMap<TaskId, String>,
-    specs: HashMap<TaskId, TaskSpec>,
     next_task: u64,
     /// Tasks discovered by the current evaluation round.
     newly: Vec<TaskSpec>,
@@ -174,7 +173,6 @@ impl CuneiformWorkflow {
             target,
             memo: BTreeMap::new(),
             by_id: HashMap::new(),
-            specs: HashMap::new(),
             next_task: 0,
             newly: Vec::new(),
             promised_outputs: HashMap::new(),
@@ -182,16 +180,6 @@ impl CuneiformWorkflow {
             complete: false,
             depth: 0,
         })
-    }
-
-    /// Number of tasks submitted so far.
-    pub fn submitted_count(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// The spec of a previously discovered task.
-    pub fn task_spec(&self, id: TaskId) -> Option<&TaskSpec> {
-        self.specs.get(&id)
     }
 
     /// Runs one evaluation round on a dedicated 32 MiB stack (deep `defun`
@@ -627,7 +615,6 @@ impl CuneiformWorkflow {
             },
         );
         self.by_id.insert(id, key);
-        self.specs.insert(id, spec.clone());
         self.newly.push(spec);
         Ok(result)
     }
@@ -840,7 +827,7 @@ mod tests {
         let t3 = wf.on_task_completed(t2[0].id).unwrap();
         assert!(t3.is_empty(), "val(next)=3 stops the recursion");
         assert!(wf.is_complete());
-        assert_eq!(wf.submitted_count(), 3);
+        assert_eq!(t0.len() + t1.len() + t2.len() + t3.len(), 3);
     }
 
     #[test]

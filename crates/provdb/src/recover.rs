@@ -21,7 +21,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::segment::{apply_record, read_snapshot, CollectionImage, DbImage};
+use crate::segment::{apply_record, read_snapshot, DbImage};
 use crate::wal::{scan_frames, Record, WAL_MAGIC};
 
 /// What recovery reconstructed.
@@ -166,15 +166,10 @@ fn frame_offset(bytes: &[u8], n: usize) -> u64 {
     pos as u64
 }
 
-/// Convenience for tests and the store: an empty image entry.
-pub fn empty_collection() -> CollectionImage {
-    CollectionImage::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::write_snapshot;
+    use crate::segment::{write_snapshot, CollectionImage};
     use crate::wal::{wal_path, Wal};
 
     #[test]

@@ -98,7 +98,6 @@ pub enum Completion<T> {
 }
 
 struct Act<T> {
-    id: u64,
     kind: Activity,
     remaining: f64,
     rate: f64,
@@ -418,7 +417,6 @@ impl<T: Clone> Engine<T> {
             }
         };
         let slot = self.alloc_slot(Act {
-            id,
             kind,
             remaining,
             rate: 0.0,
@@ -510,17 +508,13 @@ impl<T: Clone> Engine<T> {
         }
     }
 
-    /// Debug: dump remaining activities (id, kind, remaining, rate).
-    pub fn debug_activities(&mut self) -> Vec<(u64, String, f64, f64)> {
-        self.refresh_rates();
-        let mut out: Vec<(u64, String, f64, f64)> = self
-            .slab
+    /// The tags of every in-flight activity (background loads included),
+    /// in slab order — what an end-of-run leak check inspects.
+    pub fn live_tags(&self) -> impl Iterator<Item = &T> {
+        self.slab
             .iter()
             .filter_map(|s| s.act.as_ref())
-            .map(|a| (a.id, format!("{:?}", a.kind), a.remaining, a.rate))
-            .collect();
-        out.sort_by_key(|e| e.0);
-        out
+            .map(|a| &a.tag)
     }
 
     /// Debug: pending (non-cancelled) timer count.
