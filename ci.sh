@@ -62,9 +62,8 @@ echo "trace artifacts byte-identical across runs for all five policies"
 
 echo "==> experiment gate (each bin twice, byte-identical, matching results/)"
 # The paper's figures and tables plus the chaos, multi-tenancy and
-# crash-and-resume experiments; fig4, table2 and fig6 (~20-30 s each)
-# stay out of CI.
-for bin in chaos multiwf resume fig8 fig9 table1 ablation; do
+# crash-and-resume experiments.
+for bin in chaos multiwf resume fig4 table2 fig6 fig8 fig9 table1 ablation; do
   ./target/release/"$bin" > "$out/$bin.1.txt"
   ./target/release/"$bin" > "$out/$bin.2.txt"
   if ! cmp -s "$out/$bin.1.txt" "$out/$bin.2.txt"; then

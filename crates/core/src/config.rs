@@ -53,16 +53,10 @@ pub struct HiwayConfig {
     /// container configurations per installation: one core / 1 GB in the
     /// Figure 4 cluster, whole-node containers elsewhere.
     pub container_resource: Resource,
-    /// Resources occupied by the AM's own container.
-    pub am_resource: Resource,
     pub scheduler: SchedulerPolicy,
     /// How many times a failed task is retried (on a different node when
     /// possible) before the workflow is declared failed.
     pub task_retries: u32,
-    /// AM–RM heartbeat: how often allocation rounds happen, seconds.
-    pub heartbeat_secs: f64,
-    /// Worker container startup latency (process spawn, localization).
-    pub container_startup_secs: f64,
     /// When true, a task's compute phase may use up to the *node's* cores
     /// regardless of container vcores — the paper's whole-node setup
     /// "enabling multithreading for tasks running within that container
@@ -135,11 +129,8 @@ impl Default for HiwayConfig {
     fn default() -> HiwayConfig {
         HiwayConfig {
             container_resource: Resource::new(1, 1024),
-            am_resource: Resource::new(1, 1024),
             scheduler: SchedulerPolicy::DataAware,
             task_retries: 3,
-            heartbeat_secs: 1.0,
-            container_startup_secs: 1.0,
             multithread_full_node: false,
             tailored_containers: false,
             task_failure_prob: 0.0,

@@ -47,6 +47,13 @@ use crate::report::{TaskReport, WorkflowReport};
 use crate::scheduler::{make_scheduler, Scheduler, Scores};
 use hiway_yarn::Resource;
 
+/// AM–RM heartbeat: how often allocation rounds happen, seconds.
+pub const HEARTBEAT_SECS: f64 = 1.0;
+/// Resources occupied by every AM's own container.
+pub const AM_RESOURCE: Resource = Resource::new(1, 1024);
+/// Worker container startup latency (process spawn, localization), seconds.
+const CONTAINER_STARTUP_SECS: f64 = 1.0;
+
 /// Per-task execution state. Attempt-level phases (stage-in, exec,
 /// stage-out) live on [`Attempt`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -277,7 +284,6 @@ pub struct Runtime {
     /// Worker container → (workflow, task, attempt) hosting it.
     containers: HashMap<ContainerId, (usize, TaskId, u32)>,
     heartbeat_armed: bool,
-    heartbeat_secs: f64,
     stall_strikes: u32,
     /// Extra CPU charged to master nodes per cluster event, modelling
     /// NameNode/ResourceManager/AM bookkeeping (Figure 6's master load).
@@ -330,7 +336,6 @@ impl Runtime {
             ams: Vec::new(),
             containers: HashMap::new(),
             heartbeat_armed: false,
-            heartbeat_secs: 1.0,
             stall_strikes: 0,
             master_overhead: None,
             tracer: Tracer::disabled(),
@@ -408,10 +413,9 @@ impl Runtime {
             // killing the AM kills the whole workflow.
             self.cluster.rm.request(
                 app,
-                hiway_yarn::ContainerRequest::anywhere(config.am_resource).never_preempt(),
+                hiway_yarn::ContainerRequest::anywhere(AM_RESOURCE).never_preempt(),
             );
         }
-        self.heartbeat_secs = self.heartbeat_secs.min(config.heartbeat_secs);
         let seed = config.seed ^ (self.ams.len() as u64).wrapping_mul(0x9e37_79b9);
         let scheduler = make_scheduler(config.scheduler);
         let t_submit = self.cluster.engine.now().as_secs();
@@ -453,7 +457,7 @@ impl Runtime {
             self.heartbeat_armed = true;
             self.cluster
                 .engine
-                .set_timer_after(self.heartbeat_secs, Tag::Heartbeat { wf: 0 });
+                .set_timer_after(HEARTBEAT_SECS, Tag::Heartbeat { wf: 0 });
         }
     }
 
@@ -850,7 +854,6 @@ impl Runtime {
         speculative: bool,
     ) {
         let now = self.cluster.engine.now().as_secs();
-        let startup = self.ams[wf].config.container_startup_secs;
         let am = &mut self.ams[wf];
         let task = am.tasks.get_mut(&task_id).expect("known task");
         task.attempts += 1;
@@ -885,7 +888,7 @@ impl Runtime {
             }
         }
         self.cluster.engine.set_timer_after(
-            startup,
+            CONTAINER_STARTUP_SECS,
             Tag::ContainerStarted {
                 wf: wf as u32,
                 task: task_id,

@@ -537,7 +537,9 @@ fn adaptive_declines_a_slow_node_at_most_three_times() {
     }
     let mut cluster = small_cluster(2);
     let config = HiwayConfig::default().with_scheduler(SchedulerPolicy::Adaptive);
-    cluster.rm.set_capacity(NodeId(0), config.am_resource);
+    cluster
+        .rm
+        .set_capacity(NodeId(0), hiway_core::driver::AM_RESOURCE);
     cluster.prestage("/in", 1 << 20);
     let mut rt = Runtime::new(cluster);
     let tracer = hiway_obs::Tracer::enabled();
@@ -1152,8 +1154,10 @@ fn a_failed_workflow_finishes_at_its_failure_instant() {
     assert!(reports[ok].t_finish > 100.0, "{}", reports[ok].t_finish);
     // The AM container is granted on the first heartbeat and refused on
     // the spot.
-    let heartbeat = HiwayConfig::default().heartbeat_secs;
-    assert_eq!(reports[refused].t_finish, heartbeat);
+    assert_eq!(
+        reports[refused].t_finish,
+        hiway_core::driver::HEARTBEAT_SECS
+    );
 }
 
 #[test]

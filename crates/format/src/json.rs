@@ -86,15 +86,6 @@ impl Json {
         }
     }
 
-    /// `get` through a path of keys.
-    pub fn get_path(&self, path: &[&str]) -> Option<&Json> {
-        let mut cur = self;
-        for key in path {
-            cur = cur.get(key)?;
-        }
-        Some(cur)
-    }
-
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::String(s) => Some(s),
@@ -508,7 +499,7 @@ mod tests {
     #[test]
     fn parse_nested_structures() {
         let v = Json::parse(r#"{"a": [1, {"b": null}], "c": "x"}"#).unwrap();
-        assert_eq!(v.get_path(&["c"]).unwrap().as_str(), Some("x"));
+        assert_eq!(v.get("c").unwrap().as_str(), Some("x"));
         let arr = v.get("a").unwrap().as_array().unwrap();
         assert_eq!(arr[0].as_f64(), Some(1.0));
         assert_eq!(arr[1].get("b"), Some(&Json::Null));

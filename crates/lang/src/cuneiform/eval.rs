@@ -8,10 +8,14 @@
 //! the Workflow Driver withholds their launch until the producing files
 //! actually exist in HDFS. Evaluation only *blocks* on `val(x)` — reading
 //! the exit value of the task that produced `x` — and therefore on any
-//! `if` whose condition depends on such a value. Each task completion
-//! re-runs evaluation from the root; memoization makes the re-run cheap
-//! and idempotent, and whatever new applications become reachable are the
-//! "newly discovered tasks" handed to the scheduler.
+//! `if` whose condition depends on such a value.
+//!
+//! A round evaluates from the root and records the tasks whose `val()`
+//! blocked. A round reads task state only through `val()`; the rest is
+//! memoized or a pure function of program and seed. So a new round runs
+//! only when a completion releases a recorded `val()` — any other round
+//! would repeat the last one — and the applications it newly reaches are
+//! the "newly discovered tasks" handed to the scheduler.
 //!
 //! ## Simulated tool semantics
 //!
@@ -106,14 +110,6 @@ enum Stop {
 
 type Eval = Result<Value, Stop>;
 
-struct TaskState {
-    /// The value the application evaluates to (output file promises).
-    result: Value,
-    /// Simulated tool exit value, readable once `done` via `val(...)`.
-    exit: Value,
-    done: bool,
-}
-
 /// A parsed Cuneiform workflow with incremental evaluation state.
 pub struct CuneiformWorkflow {
     name: String,
@@ -122,10 +118,14 @@ pub struct CuneiformWorkflow {
     funs: HashMap<String, FunDef>,
     lets: Vec<(String, Expr)>,
     target: Expr,
-    /// Memoized applications: rendered key → state.
-    memo: BTreeMap<String, TaskState>,
-    by_id: HashMap<TaskId, String>,
-    next_task: u64,
+    /// Memoized applications: rendered key → the value the application
+    /// evaluates to (its output file promises).
+    memo: BTreeMap<String, Value>,
+    /// Per task, indexed by `TaskId`: the simulated tool exit value,
+    /// readable through `val(...)` once the flag says it is done.
+    tasks: Vec<(Value, bool)>,
+    /// Tasks whose `val()` blocked in the latest round.
+    blocked_on: BTreeSet<TaskId>,
     /// Tasks discovered by the current evaluation round.
     newly: Vec<TaskSpec>,
     /// Output paths already promised, to reject template collisions.
@@ -172,8 +172,8 @@ impl CuneiformWorkflow {
             lets,
             target,
             memo: BTreeMap::new(),
-            by_id: HashMap::new(),
-            next_task: 0,
+            tasks: Vec::new(),
+            blocked_on: BTreeSet::new(),
             newly: Vec::new(),
             promised_outputs: HashMap::new(),
             required: BTreeSet::new(),
@@ -199,26 +199,21 @@ impl CuneiformWorkflow {
 
     fn evaluate_round_inner(&mut self) -> Result<Vec<TaskSpec>, LangError> {
         self.newly.clear();
+        self.blocked_on.clear();
         let mut env: Vec<(String, Value)> = Vec::new();
         let lets = self.lets.clone();
         let target = self.target.clone();
-        let mut blocked = false;
         for (name, expr) in &lets {
             match self.eval(expr, &env) {
                 Ok(v) => env.push((name.clone(), v)),
-                Err(Stop::Blocked) => {
-                    blocked = true;
-                    break;
-                }
+                Err(Stop::Blocked) => return Ok(std::mem::take(&mut self.newly)),
                 Err(Stop::Error(e)) => return Err(e),
             }
         }
-        if !blocked {
-            match self.eval(&target, &env) {
-                Ok(_) => self.complete = true,
-                Err(Stop::Blocked) => {}
-                Err(Stop::Error(e)) => return Err(e),
-            }
+        match self.eval(&target, &env) {
+            Ok(_) => self.complete = true,
+            Err(Stop::Blocked) => {}
+            Err(Stop::Error(e)) => return Err(e),
         }
         Ok(std::mem::take(&mut self.newly))
     }
@@ -434,18 +429,13 @@ impl CuneiformWorkflow {
                 match &args[0] {
                     Value::File {
                         producer: Some(id), ..
-                    } => {
-                        let key = self
-                            .by_id
-                            .get(id)
-                            .ok_or_else(|| self.error("internal: unknown producer"))?;
-                        let state = &self.memo[key];
-                        if state.done {
-                            Ok(Some(state.exit.clone()))
-                        } else {
+                    } => match &self.tasks[id.0 as usize] {
+                        (exit, true) => Ok(Some(exit.clone())),
+                        (_, false) => {
+                            self.blocked_on.insert(*id);
                             Err(Stop::Blocked)
                         }
-                    }
+                    },
                     Value::File {
                         producer: None,
                         path,
@@ -521,12 +511,13 @@ impl CuneiformWorkflow {
             def.name,
             args.iter().map(Value::render).collect::<Vec<_>>().join(";")
         );
-        if let Some(state) = self.memo.get(&key) {
-            return Ok(state.result.clone());
+        if let Some(result) = self.memo.get(&key) {
+            return Ok(result.clone());
         }
 
-        let id = TaskId(self.next_task);
-        self.next_task += 1;
+        // Taken by the push below, so an attribute expression that blocks
+        // on `val()` burns no id.
+        let id = TaskId(self.tasks.len() as u64);
 
         // Parameter environment for size/cpu/yield expressions.
         let penv: Vec<(String, Value)> = def
@@ -606,15 +597,8 @@ impl CuneiformWorkflow {
             }
         };
 
-        self.memo.insert(
-            key.clone(),
-            TaskState {
-                result: result.clone(),
-                exit,
-                done: false,
-            },
-        );
-        self.by_id.insert(id, key);
+        self.memo.insert(key, result.clone());
+        self.tasks.push((exit, false));
         self.newly.push(spec);
         Ok(result)
     }
@@ -716,13 +700,16 @@ impl WorkflowSource for CuneiformWorkflow {
     }
 
     fn on_task_completed(&mut self, task: TaskId) -> Result<Vec<TaskSpec>, LangError> {
-        let key = self
-            .by_id
-            .get(&task)
-            .ok_or_else(|| LangError::new("cuneiform", format!("unknown task {task:?}")))?
-            .clone();
-        self.memo.get_mut(&key).expect("keyed state").done = true;
-        self.evaluate_round()
+        let (_, done) = self
+            .tasks
+            .get_mut(task.0 as usize)
+            .ok_or_else(|| LangError::new("cuneiform", format!("unknown task {task:?}")))?;
+        *done = true;
+        if self.blocked_on.contains(&task) {
+            self.evaluate_round()
+        } else {
+            Ok(Vec::new())
+        }
     }
 
     fn is_static(&self) -> bool {
@@ -741,6 +728,7 @@ impl WorkflowSource for CuneiformWorkflow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(src: &str) -> CuneiformWorkflow {
         CuneiformWorkflow::parse("test", src, 42).expect("parse")
@@ -828,6 +816,125 @@ mod tests {
         assert!(t3.is_empty(), "val(next)=3 stops the recursion");
         assert!(wf.is_complete());
         assert_eq!(t0.len() + t1.len() + t2.len() + t3.len(), 3);
+    }
+
+    #[test]
+    fn blocked_attribute_expressions_burn_no_task_ids() {
+        // `sized` blocks on `val(p)` in its cpu expression until `probe`
+        // completes; completing the unrelated `other` first must not move
+        // the id `sized` eventually gets.
+        let mut wf = parse(
+            r#"
+            deftask probe( out("p.dat", 1) : x ) cpu 1 yield 7;
+            deftask other( out("o.dat", 1) : x ) cpu 1;
+            deftask sized( out("s.dat", 1) : p ) cpu val(p);
+            let input = file("/in", 1);
+            let p = probe(input);
+            target [sized(p), other(input)];
+            "#,
+        );
+        let mut found = wf.initial_tasks().unwrap();
+        let (probe, other) = (found[0].id, found[1].id);
+        found.extend(wf.on_task_completed(other).unwrap());
+        found.extend(wf.on_task_completed(probe).unwrap());
+        let ids: Vec<(u64, &str)> = found.iter().map(|t| (t.id.0, t.name.as_str())).collect();
+        assert_eq!(ids, [(0, "probe"), (1, "other"), (2, "sized")]);
+        assert_eq!(found[2].cost.cpu_seconds, 7.0);
+        assert!(wf.is_complete());
+    }
+
+    /// Programs for the gating oracle below: k-means-shaped iteration,
+    /// independent `val`-gated branches (one gate sits in a task
+    /// attribute), plain recursion on `val`, a released `val` that leads
+    /// to an error, and a `val`-free SNV-shaped pipeline.
+    const GATING_CORPUS: [&str; 5] = [
+        r#"
+        deftask assign( out("assigned_{2}_{0}.dat", 10) : points cents round ) cpu 2;
+        deftask update( out("cents_{round}.dat", 10) : [assigned] round ) cpu 1
+          yield if ge(round, 4) then 1 else prob(0.3);
+        defun iterate(points, cents, round) =
+          let assigned = assign(points, cents, round);
+          let next = update(assigned, round);
+          if val(next) then next else iterate(points, next, add(round, 1));
+        let points = [file("/p0", 10), file("/p1", 10), file("/p2", 10)];
+        target iterate(points, file("/cents0", 10), 1);
+        "#,
+        r#"
+        deftask probe( out("probe_{0}.dat", 1) : x ) cpu 1 yield prob(0.5);
+        deftask sized( out("sized_{0}.dat", 1) : p ) cpu add(val(p), 1);
+        deftask big( out("big_{0}.dat", 1) : p ) cpu 9;
+        deftask small( out("small_{0}.dat", 1) : p ) cpu 1;
+        defun branch(x) = let p = probe(x); if val(p) then big(p) else small(p);
+        let a = file("/a", 1);
+        target [branch(a), sized(probe(file("/b", 1))), branch(file("/c", 1))];
+        "#,
+        r#"
+        deftask step( out("cents_{1}.dat", 1000) : c i ) cpu 5 yield add(i, 1);
+        defun iterate(c, i) =
+          let next = step(c, i);
+          if lt(val(next), 3) then iterate(next, val(next)) else next;
+        target iterate(file("/cents0.dat", 1000), 0);
+        "#,
+        r#"
+        deftask probe( out("p.dat", 1) : x ) cpu 1 yield 5;
+        deftask other( out("o_{0}.dat", 1) : x ) cpu 1;
+        let p = probe(file("/in", 1));
+        target [other([file("/x", 1), file("/y", 1)]), nth([1, 2, 3], val(p))];
+        "#,
+        r#"
+        deftask align( out("aln_{0}.sam", mul(insize(r), 2)) : r ) cpu 3;
+        deftask sort( out("sorted_{0}.sam", insize(a)) : a ) cpu 2;
+        deftask call( out("vars_{0}.vcf", 5) : tag [alns] ) cpu insize(alns);
+        let s0 = [file("/s0_0.fq", 10), file("/s0_1.fq", 20)];
+        let s1 = [file("/s1_0.fq", 30), file("/s1_1.fq", 40), file("/s1_2.fq", 50)];
+        target [call("s0", sort(align(s0))), call("s1", sort(align(s1)))];
+        "#,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The gate is exact: after every completion, a full round run
+        /// directly discovers nothing new and leaves completeness alone,
+        /// whatever order tasks complete in; and an error surfaces at the
+        /// completion that releases the failing `val()`.
+        #[test]
+        fn skipped_rounds_would_have_discovered_nothing(
+            program in 0usize..GATING_CORPUS.len(),
+            seed in 0u64..1_000,
+            picks in proptest::collection::vec(0usize..1_000, 32),
+        ) {
+            let mut wf = CuneiformWorkflow::parse("oracle", GATING_CORPUS[program], seed).unwrap();
+            let mut pending = wf.initial_tasks().unwrap();
+            let mut failed_at = None;
+            for pick in picks.iter().cycle() {
+                if pending.is_empty() {
+                    break;
+                }
+                let task = pending.swap_remove(pick % pending.len());
+                match wf.on_task_completed(task.id) {
+                    Ok(newly) => {
+                        pending.extend(newly);
+                        let complete = wf.is_complete();
+                        let round = wf.evaluate_round();
+                        prop_assert!(matches!(&round, Ok(t) if t.is_empty()), "{round:?}");
+                        prop_assert_eq!(wf.is_complete(), complete);
+                    }
+                    Err(e) => {
+                        failed_at = Some((task.name, e.message));
+                        break;
+                    }
+                }
+            }
+            if program == 3 {
+                let (name, message) = failed_at.expect("nth(.., 5) fails once probe completes");
+                prop_assert_eq!(name, "probe");
+                prop_assert!(message.contains("out of bounds"), "{message}");
+            } else {
+                prop_assert!(failed_at.is_none(), "{failed_at:?}");
+                prop_assert!(wf.is_complete());
+            }
+        }
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!
 //! The evaluator discovers tasks incrementally: evaluation proceeds until
 //! it *blocks* on a not-yet-completed task, at which point every task whose
-//! arguments are fully known has been submitted. Each completion re-runs
-//! the (memoized) evaluation, possibly unblocking conditionals and
-//! revealing new tasks — exactly the execution model of the paper's
-//! Figure 3.
+//! arguments are fully known has been submitted. Only a completion that
+//! releases a blocked `val()` runs the (memoized) evaluation again,
+//! possibly unblocking conditionals and revealing new tasks — exactly the
+//! execution model of the paper's Figure 3.
 //!
 //! # Example
 //!

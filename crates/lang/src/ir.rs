@@ -155,7 +155,6 @@ pub struct StaticWorkflow {
     pub language: &'static str,
     pub tasks: Vec<TaskSpec>,
     emitted: bool,
-    completed: u64,
 }
 
 impl StaticWorkflow {
@@ -165,7 +164,6 @@ impl StaticWorkflow {
             language,
             tasks,
             emitted: false,
-            completed: 0,
         }
     }
 
@@ -330,7 +328,6 @@ impl WorkflowSource for StaticWorkflow {
     }
 
     fn on_task_completed(&mut self, _task: TaskId) -> Result<Vec<TaskSpec>, LangError> {
-        self.completed += 1;
         Ok(Vec::new())
     }
 

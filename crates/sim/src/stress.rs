@@ -4,8 +4,8 @@
 //! homogeneous EC2 cluster into a heterogeneous one by running `stress`
 //! with 1, 4, 16, 64, and 256 CPU-bound processes on five machines and the
 //! same counts of disk-writer processes on five others. These helpers
-//! create the equivalent never-completing activities; the returned handles
-//! can be cancelled to stop the load.
+//! create the equivalent never-completing activities; cancelling the
+//! returned handles through [`Engine::cancel`] stops the load.
 
 use crate::engine::{Activity, ActivityId, Engine};
 use crate::spec::NodeId;
@@ -42,13 +42,6 @@ pub fn disk_stress<T: Clone>(
         .collect()
 }
 
-/// Stops a previously started load.
-pub fn stop_stress<T: Clone>(engine: &mut Engine<T>, handles: &[ActivityId]) {
-    for &h in handles {
-        engine.cancel(h);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,7 +66,9 @@ mod tests {
         assert!((e.now().as_secs() - 3.0).abs() < 1e-6);
 
         // After stopping the stress the next task runs at full speed.
-        stop_stress(&mut e, &handles);
+        for h in handles {
+            e.cancel(h);
+        }
         e.start(
             Activity::Compute {
                 node: NodeId(0),

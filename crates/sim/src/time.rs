@@ -23,19 +23,9 @@ impl SimTime {
         SimTime(secs)
     }
 
-    /// Creates a time from minutes.
-    pub fn from_mins(mins: f64) -> SimTime {
-        SimTime::from_secs(mins * 60.0)
-    }
-
     /// Seconds since simulation start.
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Minutes since simulation start.
-    pub fn as_mins(self) -> f64 {
-        self.0 / 60.0
     }
 
     /// Duration from `earlier` to `self`; saturates at zero.
@@ -103,8 +93,6 @@ mod tests {
         assert_eq!(b - a, 2.5);
         assert_eq!(b.since(a), 2.5);
         assert_eq!(a.since(b), 0.0);
-        assert_eq!(SimTime::from_mins(2.0).as_secs(), 120.0);
-        assert_eq!(SimTime::from_secs(90.0).as_mins(), 1.5);
     }
 
     #[test]

@@ -236,11 +236,6 @@ impl ResourceManager {
         &self.apps[app.0 as usize]
     }
 
-    /// The leaf queue an application was submitted to.
-    pub fn queue_of(&self, app: AppId) -> &str {
-        &self.queues.nodes[self.app_queue[app.0 as usize]].name
-    }
-
     /// Whether an application is currently admitted (rejected or parked
     /// applications cannot be granted containers).
     pub fn is_admitted(&self, app: AppId) -> bool {
@@ -309,17 +304,6 @@ impl ResourceManager {
             ));
         }
         None
-    }
-
-    /// Withdraws a pending request (e.g. the workflow finished early).
-    pub fn cancel_request(&mut self, id: RequestId) -> bool {
-        let removed = self.queue.remove(&id.0).is_some();
-        if removed {
-            self.tracer.inc("rm.requests_cancelled", 1);
-            self.tracer
-                .set_gauge("rm.pending_requests", self.queue.len() as f64);
-        }
-        removed
     }
 
     /// Withdraws every pending request of `app` (the application is being
@@ -900,11 +884,11 @@ mod tests {
         );
         assert_eq!(r.allocate().len(), 1);
         // A strict request for node 0 must wait even though node 1 is free.
-        let rid = r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
+        r.request(app, ContainerRequest::pinned(one_core(), NodeId(0)));
         assert!(r.allocate().is_empty());
         assert_eq!(r.pending_requests(), 1);
         // A relaxed request with the same preference falls back to node 1.
-        r.cancel_request(rid);
+        assert_eq!(r.withdraw_requests(app), 1);
         r.request(
             app,
             ContainerRequest {
@@ -974,7 +958,6 @@ mod tests {
         let mut r = rm(1);
         let a = r.submit_app("snv-calling");
         assert_eq!(r.app_name(a), "snv-calling");
-        assert_eq!(r.queue_of(a), "default");
         assert!(r.is_admitted(a));
     }
 

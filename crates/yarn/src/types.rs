@@ -15,7 +15,7 @@ impl Resource {
         memory_mb: 0,
     };
 
-    pub fn new(vcores: u32, memory_mb: u64) -> Resource {
+    pub const fn new(vcores: u32, memory_mb: u64) -> Resource {
         Resource { vcores, memory_mb }
     }
 

@@ -156,7 +156,7 @@ fn data_aware_beats_fcfs_on_a_congested_switch() {
             deployment.runtime.cluster.prestage(&path, size);
         }
         let source = CuneiformWorkflow::parse("snv", &snv.cuneiform_source(), 77).unwrap();
-        let mut config = HiwayConfig {
+        let config = HiwayConfig {
             container_resource: hiway::yarn::Resource::new(1, 1000),
             scheduler: policy,
             seed: 77,
@@ -171,7 +171,6 @@ fn data_aware_beats_fcfs_on_a_congested_switch() {
                 .rm
                 .set_capacity(NodeId(node), hiway::yarn::Resource::new(8, 8000));
         }
-        config.heartbeat_secs = 1.0;
         let mut rt = deployment.runtime;
         let wf = rt.submit(Box::new(source), config, ProvDb::new());
         let reports = rt.run_to_completion();
