@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: build, test, lint, and smoke-run the engine benchmark.
-# Everything here is deterministic; the bench smoke also regenerates
-# BENCH_engine.json so regressions in the engine hot path show up as a
-# speedup drop in the artifact. Run outputs (traces, experiment text)
-# land in ci-out/, which the workflow uploads as artifacts.
+# CI entry point: build, test, lint, smoke-run the perfbench host-cost
+# benchmark and the provenance-store benchmark, then byte-gate the trace
+# artifacts and every experiment's output. Everything gated here is
+# deterministic; the provdb smoke also regenerates BENCH_provdb.json.
+# Run outputs (traces, experiment text) land in ci-out/, which the
+# workflow uploads as artifacts.
 set -euo pipefail
 cd "$(dirname "$0")"
 out=ci-out
@@ -26,13 +27,11 @@ cargo clippy --all-targets -p hiway -p hiway-obs -p hiway-sim -p hiway-hdfs -p h
   -p hiway-format -p hiway-lang -p hiway-provdb -p hiway-core \
   -p hiway-workloads -p hiway-recipes -p hiway-bench -- -D warnings
 
-echo "==> engine benchmark smoke"
-./target/release/bench_engine --quick BENCH_engine.json
-cat BENCH_engine.json
+echo "==> perfbench tests"
+cargo test --release --manifest-path perfbench/Cargo.toml
 
-echo "==> observability overhead smoke"
-./target/release/bench_obs --quick BENCH_obs.json
-cat BENCH_obs.json
+echo "==> perfbench smoke (fails on an errored run, a wrong task count, or a traced/untraced makespan mismatch)"
+python3 perfbench/run.py --workload montage_heft_warmup --seconds 3
 
 echo "==> provenance store benchmark smoke"
 ./target/release/bench_provdb --quick BENCH_provdb.json

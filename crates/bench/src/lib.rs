@@ -2,9 +2,9 @@
 //!
 //! Each experiment of the evaluation (Section 4) is implemented as a
 //! library function returning structured results, so the same code backs
-//! the `table1`/`fig4`/`table2`/`fig6`/`fig8`/`fig9` binaries, the
-//! Criterion benches, and the regression tests. See `EXPERIMENTS.md` at
-//! the repository root for paper-vs-measured numbers.
+//! the `table1`/`fig4`/`table2`/`fig6`/`fig8`/`fig9` binaries and the
+//! regression tests. See `EXPERIMENTS.md` at the repository root for
+//! paper-vs-measured numbers.
 //!
 //! | Binary    | Paper artefact | What it sweeps |
 //! |-----------|----------------|----------------|
@@ -15,12 +15,12 @@
 //! | `fig8`    | Figure 8       | TRAPLINE on Hi-WAY vs Galaxy CloudMan |
 //! | `fig9`    | Figure 9       | Montage: HEFT vs FCFS over provenance warm-up |
 //!
-//! Supplementary binaries: `ablation`, `multiwf`, `chaos`, `bench_engine`
-//! (engine hot-path vs reference), `bench_obs` (tracing-on overhead →
-//! `BENCH_obs.json`), and `hiway-trace` (one fully-traced run exported as
-//! Perfetto JSON / JSON-lines / text Gantt; see [`trace_run`]).
+//! Supplementary binaries: `ablation`, `multiwf`, `chaos`, `resume`,
+//! `bench_provdb` (provenance-store queries → `BENCH_provdb.json`), and
+//! `hiway-trace` (one fully-traced run exported as Perfetto JSON /
+//! JSON-lines / text Gantt; see [`trace_run`]). Host cost, end to end and
+//! per layer, is measured by `perfbench/` at the repository root.
 
-pub mod engine_bench;
 pub mod experiments;
 pub mod stats;
 pub mod trace_run;

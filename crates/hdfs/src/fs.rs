@@ -1,8 +1,7 @@
 //! The NameNode metadata plane: namespace, block placement, locality
 //! queries, DataNode failure, and re-replication.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -54,11 +53,6 @@ struct FileMeta {
     blocks: Vec<BlockInfo>,
 }
 
-/// Locality-cache key: (canonical task-input-set string, node index).
-type LocalityKey = (String, u32);
-/// Locality-cache value: (epoch computed in, local bytes, readable bytes).
-type LocalityEntry = (u64, u64, u64);
-
 /// The simulated NameNode. All operations are metadata-only; data movement
 /// happens in the engine via the plans these methods return.
 pub struct Hdfs {
@@ -67,17 +61,8 @@ pub struct Hdfs {
     alive: Vec<bool>,
     used_bytes: Vec<u64>,
     rng: StdRng,
-    /// Bumped on every metadata mutation that can change locality
-    /// (create/delete/node death/revival/re-replication). Cached locality
-    /// answers are valid only for the epoch they were computed in.
-    epoch: u64,
-    /// Memoized `(local, readable-total)` byte counts per (task-input-set,
-    /// node) pair, so the data-aware scheduler's per-candidate queries stop
-    /// rescanning every block list (O(files × blocks × replicas)) on each
-    /// container allocation.
-    locality_cache: RefCell<HashMap<LocalityKey, LocalityEntry>>,
-    /// Observability sink (disabled by default): block read/write volumes
-    /// and locality-cache hit/miss counters.
+    /// Observability sink (disabled by default): file, block, read/write
+    /// and re-replication counters.
     tracer: Tracer,
 }
 
@@ -91,8 +76,6 @@ impl Hdfs {
             alive: vec![true; num_datanodes],
             used_bytes: vec![0; num_datanodes],
             rng: StdRng::seed_from_u64(seed),
-            epoch: 0,
-            locality_cache: RefCell::new(HashMap::new()),
             tracer: Tracer::disabled(),
         }
     }
@@ -100,22 +83,6 @@ impl Hdfs {
     /// Attaches an observability tracer (shared with the other layers).
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         self.tracer = tracer.clone();
-    }
-
-    /// Current mutation epoch (exposed for cache-behaviour tests).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn bump_epoch(&mut self) {
-        self.epoch += 1;
-        // Drop stale entries wholesale once the map gets large; otherwise
-        // let epoch checks filter them (mutations are frequent during
-        // stage-out bursts, and clearing on every bump would defeat the
-        // cache for the queries in between).
-        if self.locality_cache.borrow().len() > 4096 {
-            self.locality_cache.borrow_mut().clear();
-        }
     }
 
     pub fn config(&self) -> &HdfsConfig {
@@ -259,7 +226,6 @@ impl Hdfs {
         }
         self.files
             .insert(path.to_string(), FileMeta { size, blocks });
-        self.bump_epoch();
         Ok(WritePlan {
             path: path.to_string(),
             writer,
@@ -332,30 +298,6 @@ impl Hdfs {
     /// on a dead DataNode are unreadable from anywhere and count toward
     /// neither side of the fraction.
     pub fn locality_fraction(&self, paths: &[String], node: NodeId) -> f64 {
-        let (local, total) = self.local_and_total(paths, node);
-        if total == 0 {
-            0.0
-        } else {
-            local as f64 / total as f64
-        }
-    }
-
-    /// Absolute number of bytes of `paths` local to `node`.
-    pub fn local_bytes(&self, paths: &[String], node: NodeId) -> u64 {
-        self.local_and_total(paths, node).0
-    }
-
-    /// `(local, readable-total)` bytes of `paths` relative to `node`,
-    /// served from the epoch-keyed cache when possible.
-    fn local_and_total(&self, paths: &[String], node: NodeId) -> (u64, u64) {
-        let key = (paths.join("\u{1f}"), node.0);
-        if let Some(&(epoch, local, total)) = self.locality_cache.borrow().get(&key) {
-            if epoch == self.epoch {
-                self.tracer.inc("hdfs.locality_cache_hit", 1);
-                return (local, total);
-            }
-        }
-        self.tracer.inc("hdfs.locality_cache_miss", 1);
         // The query node's liveness is invariant across the scan: hoist it
         // out of the per-block loop (a dead node holds nothing locally).
         let node_alive = node.index() < self.alive.len() && self.alive[node.index()];
@@ -374,10 +316,11 @@ impl Hdfs {
                 }
             }
         }
-        self.locality_cache
-            .borrow_mut()
-            .insert(key, (self.epoch, local, total));
-        (local, total)
+        if total == 0 {
+            0.0
+        } else {
+            local as f64 / total as f64
+        }
     }
 
     /// Removes a file from the namespace.
@@ -391,7 +334,6 @@ impl Hdfs {
                 self.used_bytes[n.index()] = self.used_bytes[n.index()].saturating_sub(block.size);
             }
         }
-        self.bump_epoch();
         Ok(())
     }
 
@@ -404,7 +346,6 @@ impl Hdfs {
             return Err(HdfsError::UnknownNode(node.0));
         }
         self.alive[idx] = false;
-        self.bump_epoch();
         Ok(())
     }
 
@@ -423,7 +364,6 @@ impl Hdfs {
                     block.replicas.retain(|n| *n != node);
                 }
             }
-            self.bump_epoch();
         }
         Ok(())
     }
@@ -487,7 +427,6 @@ impl Hdfs {
                 block.replicas.retain(|n| alive_flags[n.index()]);
             }
         }
-        self.bump_epoch();
         let out: Vec<(NodeId, NodeId, u64)> = copies
             .into_iter()
             .map(|((s, d), b)| (NodeId(s), NodeId(d), b))
@@ -631,14 +570,14 @@ mod tests {
         // fraction (the old code kept its bytes in the denominator and
         // reported 0.25 here).
         assert_eq!(h.locality_fraction(&paths, NodeId(1)), 1.0);
-        assert_eq!(h.local_bytes(&paths, NodeId(1)), 64 << 20);
-        // A dead query node holds nothing locally.
+        assert_eq!(h.locality_fraction(&paths[..1], NodeId(1)), 1.0);
+        // A dead query node holds nothing locally, not even its own file.
         assert_eq!(h.locality_fraction(&paths, NodeId(2)), 0.0);
-        assert_eq!(h.local_bytes(&paths, NodeId(2)), 0);
+        assert_eq!(h.locality_fraction(&paths[1..], NodeId(2)), 0.0);
     }
 
     #[test]
-    fn locality_cache_invalidates_on_mutation() {
+    fn locality_follows_every_mutation() {
         let config = HdfsConfig {
             replication: 1,
             ..Default::default()
@@ -646,23 +585,17 @@ mod tests {
         let mut h = Hdfs::new(3, config, 5);
         h.create("/a", 10 << 20, NodeId(0)).unwrap();
         let paths = vec!["/a".to_string(), "/b".to_string()];
-        let e0 = h.epoch();
         assert_eq!(h.locality_fraction(&paths, NodeId(0)), 1.0);
-        // Repeated query in the same epoch is served from the cache.
-        assert_eq!(h.locality_fraction(&paths, NodeId(0)), 1.0);
-        assert_eq!(h.epoch(), e0);
 
-        // Every mutation class bumps the epoch and refreshes the answer.
         h.create("/b", 30 << 20, NodeId(1)).unwrap();
-        assert!(h.epoch() > e0);
         assert!((h.locality_fraction(&paths, NodeId(0)) - 0.25).abs() < 1e-12);
         h.delete("/b").unwrap();
         assert_eq!(h.locality_fraction(&paths, NodeId(0)), 1.0);
         h.fail_node(NodeId(0)).unwrap();
         assert_eq!(h.locality_fraction(&paths, NodeId(0)), 0.0);
-        let e1 = h.epoch();
+        // The revived node comes back with a fresh disk: still nothing local.
         h.revive_node(NodeId(0)).unwrap();
-        assert!(h.epoch() > e1);
+        assert_eq!(h.locality_fraction(&paths, NodeId(0)), 0.0);
     }
 
     #[test]
@@ -744,18 +677,11 @@ mod tests {
     }
 
     #[test]
-    fn tracer_counts_cache_hits_reads_and_writes() {
+    fn tracer_counts_reads_and_writes() {
         let mut h = fs(4);
         let tracer = Tracer::enabled();
         h.set_tracer(&tracer);
         h.create("/a", 64 << 20, NodeId(0)).unwrap();
-        let paths = vec!["/a".to_string()];
-        h.locality_fraction(&paths, NodeId(0)); // miss (first query)
-        h.locality_fraction(&paths, NodeId(0)); // hit (same epoch)
-        h.delete("/a").unwrap();
-        h.locality_fraction(&paths, NodeId(0)); // miss (epoch bumped)
-        assert_eq!(tracer.counter_value("hdfs.locality_cache_hit"), 1);
-        assert_eq!(tracer.counter_value("hdfs.locality_cache_miss"), 2);
         assert_eq!(tracer.counter_value("hdfs.files_created"), 1);
         assert_eq!(tracer.counter_value("hdfs.blocks_written"), 1);
         assert_eq!(tracer.counter_value("hdfs.bytes_written"), 64 << 20);

@@ -6,11 +6,11 @@
 //! scratch; `peek_next_time` and `step` scan every activity and timer
 //! linearly. This is exactly the pre-overhaul hot path — O(all activities)
 //! per event — and the incremental engine must reproduce its completion
-//! sequences and virtual times bit for bit (see the property tests in
-//! `tests/incremental_vs_reference.rs` and the criterion benchmark).
+//! sequences and virtual times bit for bit (see the lockstep property
+//! test in `tests/incremental_vs_reference.rs`).
 //!
 //! Not public API: exposed (`#[doc(hidden)]` from the crate root) only so
-//! the benchmark harness can measure the speedup against it.
+//! that integration test can drive it.
 
 use std::collections::{BTreeMap, HashMap};
 

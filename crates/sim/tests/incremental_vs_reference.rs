@@ -4,10 +4,12 @@
 //! timestamps bit for bit — to the naive recompute-everything reference
 //! engine it replaced. Random workloads mix compute, disk streams, flows,
 //! external transfers, timers, cancellations, infinite background loads,
-//! and partial time advances.
+//! and partial time advances. An enabled tracer on the incremental engine
+//! must only record the run, never change it.
 
 use proptest::prelude::*;
 
+use hiway_obs::Tracer;
 use hiway_sim::reference::ReferenceEngine;
 use hiway_sim::{
     Activity, ActivityId, ClusterSpec, Completion, Endpoint, Engine, ExternalSpec, NodeId,
@@ -116,6 +118,7 @@ fn completion_key(c: &Completion<u32>) -> (u8, u64, u32) {
 fn lockstep(
     nodes: usize,
     switch_gbps: Option<f64>,
+    traced: bool,
     ops: &[Op],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let mut spec = ClusterSpec::homogeneous(nodes, "n", &NodeSpec::m3_large("p"));
@@ -123,6 +126,12 @@ fn lockstep(
     let s3 = spec.add_external(ExternalSpec::s3());
     let mut inc: Engine<u32> = Engine::new(spec.clone());
     let mut refe: ReferenceEngine<u32> = ReferenceEngine::new(spec);
+    let tracer = Tracer::enabled();
+    if traced {
+        inc.set_tracer(&tracer);
+    }
+    // Steps that fired something; an attached tracer must count exactly these.
+    let mut steps = 0u64;
 
     let node = |sel: u8| NodeId(sel as u32 % nodes as u32);
     let mut act_ids: Vec<ActivityId> = Vec::new();
@@ -254,6 +263,7 @@ fn lockstep(
                 match (a, b) {
                     (None, None) => {}
                     (Some(fa), Some(fb)) => {
+                        steps += 1;
                         let ka: Vec<_> = fa.iter().map(completion_key).collect();
                         let kb: Vec<_> = fb.iter().map(completion_key).collect();
                         prop_assert_eq!(ka, kb, "completion sequence diverged at op {}", i);
@@ -301,9 +311,13 @@ fn lockstep(
                     prop_assert_eq!(ua.core_seconds.to_bits(), ub.core_seconds.to_bits());
                     prop_assert_eq!(ua.elapsed.to_bits(), ub.elapsed.to_bits());
                 }
+                if traced {
+                    prop_assert_eq!(tracer.counter_value("engine.steps"), steps);
+                }
                 return Ok(());
             }
             (Some(fa), Some(fb)) => {
+                steps += 1;
                 let ka: Vec<_> = fa.iter().map(completion_key).collect();
                 let kb: Vec<_> = fb.iter().map(completion_key).collect();
                 prop_assert_eq!(
@@ -332,8 +346,9 @@ proptest! {
     fn incremental_engine_matches_reference(
         nodes in 1usize..6,
         switch in proptest::option::of(0.5f64..4.0),
+        traced in any::<bool>(),
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        lockstep(nodes, switch, &ops)?;
+        lockstep(nodes, switch, traced, &ops)?;
     }
 }
