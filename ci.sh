@@ -32,6 +32,7 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "==> perfbench smoke (fails on an errored run, a wrong task count, or a traced/untraced makespan mismatch)"
 python3 perfbench/run.py --workload montage_heft_warmup --seconds 3
+python3 perfbench/run.py --workload snv_static_128w --seconds 3
 
 echo "==> provenance store benchmark smoke"
 ./target/release/bench_provdb --quick BENCH_provdb.json

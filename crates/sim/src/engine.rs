@@ -20,7 +20,8 @@
 //! progressive-filling loop. The IO constraint vector is built once at
 //! construction (the cluster spec is immutable) and each activity's
 //! [`FlowPath`] once at `start`, with the filling itself running in a
-//! preallocated [`NetFairWorkspace`].
+//! preallocated [`NetFairWorkspace`] that visits only the constraints
+//! some flow traverses.
 //!
 //! Activities live in a slab (dense slots with a free list), so the
 //! per-step settle and completion passes are straight array walks rather
@@ -236,7 +237,7 @@ pub struct Engine<T> {
     /// the same member order the naive engine derives from its sorted map.
     compute_members: Vec<Vec<(u64, u32, f64)>>,
     /// IO activities `(id, slot)` (id-ascending) with their precomputed
-    /// flow paths, parallel vectors feeding `max_min_rates` directly.
+    /// flow paths, parallel vectors feeding the max-min fill directly.
     io: Vec<(u64, u32)>,
     io_paths: Vec<FlowPath>,
     /// IO constraint vector, built once (the cluster spec is immutable).

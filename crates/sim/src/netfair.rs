@@ -7,6 +7,13 @@
 //! memberships; rates are assigned by progressive filling, the textbook
 //! algorithm for max-min fairness: raise all rates uniformly, freeze flows
 //! when a constraint they traverse saturates, repeat.
+//!
+//! [`NetFairWorkspace::compute`] fills over the *live* constraints only:
+//! those with an unfrozen member flow. Most of a large cluster's
+//! constraints carry no flow at any instant, so an iteration costs
+//! O(live constraints + unfrozen flows) rather than O(all constraints +
+//! all flows), with rates bit-identical to the naive fill over everything
+//! (the oracle in [`crate::reference`]).
 
 /// Rate assigned to a flow that traverses no finite constraint (bytes/s).
 /// Kept finite so completion times remain computable.
@@ -27,36 +34,58 @@ pub struct FlowPath {
     pub rate_cap: Option<f64>,
 }
 
-/// Computes max-min fair rates for `flows` subject to `constraints`.
+/// Reusable scratch state for the max-min fill. The engine runs one fill
+/// per IO-set change and holds the workspace across them, so the
+/// progressive-filling loop is allocation-free.
 ///
-/// Returned rates satisfy: per-constraint sums never exceed capacity;
-/// per-flow caps are honoured; and the allocation is max-min fair (no
-/// flow's rate can be raised without lowering that of a flow with an equal
-/// or smaller rate).
-pub fn max_min_rates(constraints: &[Constraint], flows: &[FlowPath]) -> Vec<f64> {
-    let mut ws = NetFairWorkspace::default();
-    ws.compute(constraints, flows).to_vec()
-}
-
-/// Reusable scratch buffers for [`max_min_rates`]. The engine runs one
-/// refill per IO-set change; holding the workspace across refreshes keeps
-/// the progressive-filling loop allocation-free.
+/// A cluster's constraint vector is long (four per node plus the switch
+/// and the external services: 511 on the 128-worker Table 2 rung), but a
+/// fill touches only the constraints some flow traverses, and each
+/// iteration only those that still have an unfrozen member. So the
+/// workspace keeps the *live* constraints and the *unfrozen* flows as
+/// compact index lists, and between calls it resets only the
+/// per-constraint state the previous call touched.
 #[derive(Default)]
 pub struct NetFairWorkspace {
     rates: Vec<f64>,
     frozen: Vec<bool>,
+    caps: Vec<f64>,
+    /// Indices of the flows not yet frozen, ascending.
+    unfrozen: Vec<usize>,
+    /// Per-constraint state, sized to the longest constraint vector seen.
+    /// Outside `compute`, `count` is zero and `members` empty everywhere
+    /// except at the indices listed in `touched`.
     residual: Vec<f64>,
     count: Vec<usize>,
-    caps: Vec<f64>,
     members: Vec<Vec<usize>>,
-    newly_frozen: Vec<bool>,
+    /// Constraints with at least one member in the last call.
+    touched: Vec<usize>,
+    /// Touched constraints that still have an unfrozen member.
+    live: Vec<usize>,
+    newly_frozen: Vec<usize>,
 }
 
 impl NetFairWorkspace {
-    /// [`max_min_rates`] into the workspace's buffers. The returned slice
-    /// is valid until the next `compute` call. Identical arithmetic to the
-    /// free function (which delegates here).
+    /// Computes max-min fair rates for `flows` subject to `constraints`
+    /// into the workspace's buffers. The returned slice (one rate per
+    /// flow) is valid until the next call.
+    ///
+    /// The rates satisfy: per-constraint sums never exceed capacity;
+    /// per-flow caps are honoured; and the allocation is max-min fair (no
+    /// flow's rate can be raised without lowering that of a flow with an
+    /// equal or smaller rate).
+    ///
+    /// Every residual and every rate gets the same float operations in the
+    /// same order as the naive fill over all constraints (kept as the test
+    /// oracle `crate::reference::max_min_rates`); only the minimum search
+    /// visits a different order, and `f64::min` does not depend on order.
+    /// So the rates are bit-identical to the naive fill's.
     pub fn compute(&mut self, constraints: &[Constraint], flows: &[FlowPath]) -> &[f64] {
+        for &c in &self.touched {
+            self.count[c] = 0;
+            self.members[c].clear();
+        }
+        self.touched.clear();
         let nf = flows.len();
         self.rates.clear();
         if nf == 0 {
@@ -66,126 +95,114 @@ impl NetFairWorkspace {
         self.rates.resize(nf, 0.0);
         self.frozen.clear();
         self.frozen.resize(nf, false);
-        let rates = &mut self.rates;
-        let frozen = &mut self.frozen;
-
-        // Residual capacity and unfrozen-flow count per constraint. A
-        // flow's private cap is modelled as one extra single-flow
+        self.unfrozen.clear();
+        self.unfrozen.extend(0..nf);
+        // A flow's private cap is modelled as one extra single-flow
         // constraint.
-        self.residual.clear();
-        self.residual.extend(constraints.iter().map(|c| c.capacity));
-        let residual = &mut self.residual;
-        self.count.clear();
-        self.count.resize(constraints.len(), 0);
-        let count = &mut self.count;
-        for f in flows {
-            for &c in &f.constraints {
-                count[c] += 1;
-            }
-        }
         self.caps.clear();
         self.caps
             .extend(flows.iter().map(|f| f.rate_cap.unwrap_or(f64::INFINITY)));
-        let caps = &mut self.caps;
-
-        // Constraint → member-flow index, so freezing on saturation is
-        // O(members) instead of a scan over every flow (the Figure 4
-        // experiment runs hundreds of concurrent flows).
-        if self.members.len() < constraints.len() {
+        if self.count.len() < constraints.len() {
+            self.count.resize(constraints.len(), 0);
+            self.residual.resize(constraints.len(), 0.0);
             self.members.resize_with(constraints.len(), Vec::new);
         }
-        for m in self.members.iter_mut() {
-            m.clear();
-        }
-        let members = &mut self.members;
+
+        // Residual capacity, unfrozen-member count and member flows of
+        // each constraint some flow traverses. The member index makes
+        // freezing on saturation O(members) instead of a scan over every
+        // flow.
         for (fi, f) in flows.iter().enumerate() {
             for &c in &f.constraints {
-                members[c].push(fi);
+                if self.count[c] == 0 {
+                    self.touched.push(c);
+                    self.residual[c] = constraints[c].capacity;
+                }
+                self.count[c] += 1;
+                self.members[c].push(fi);
             }
         }
+        self.live.clear();
+        self.live.extend_from_slice(&self.touched);
 
-        let mut unfrozen = nf;
-        while unfrozen > 0 {
+        let rates = &mut self.rates;
+        let frozen = &mut self.frozen;
+        let caps = &self.caps;
+        let unfrozen = &mut self.unfrozen;
+        let residual = &mut self.residual;
+        let count = &mut self.count;
+        let members = &self.members;
+        let live = &mut self.live;
+        let newly_frozen = &mut self.newly_frozen;
+        while !unfrozen.is_empty() {
             // Smallest uniform increment saturating a constraint or a cap.
             let mut inc = f64::INFINITY;
-            for (i, c) in residual.iter().enumerate() {
-                if count[i] > 0 && c.is_finite() {
-                    inc = inc.min(c / count[i] as f64);
+            for &c in live.iter() {
+                if residual[c].is_finite() {
+                    inc = inc.min(residual[c] / count[c] as f64);
                 }
             }
-            for i in 0..nf {
-                if !frozen[i] && caps[i].is_finite() {
-                    inc = inc.min(caps[i] - rates[i]);
+            for &fi in unfrozen.iter() {
+                if caps[fi].is_finite() {
+                    inc = inc.min(caps[fi] - rates[fi]);
                 }
             }
             if !inc.is_finite() {
                 // No binding constraint: remaining flows are unconstrained.
-                for i in 0..nf {
-                    if !frozen[i] {
-                        rates[i] = UNCONSTRAINED_BPS;
-                        frozen[i] = true;
-                    }
+                for &fi in unfrozen.iter() {
+                    rates[fi] = UNCONSTRAINED_BPS;
                 }
                 break;
             }
 
             // Raise every unfrozen flow by `inc`; charge the constraints.
-            for i in 0..nf {
-                if !frozen[i] {
-                    rates[i] += inc;
-                }
+            for &fi in unfrozen.iter() {
+                rates[fi] += inc;
             }
-            for (i, r) in residual.iter_mut().enumerate() {
-                if count[i] > 0 {
-                    *r -= inc * count[i] as f64;
-                }
+            for &c in live.iter() {
+                residual[c] -= inc * count[c] as f64;
             }
 
             // Freeze flows on saturated constraints or at their private
             // cap. Thresholds are *relative* to the capacity: with
             // capacities in the 1e9 range, the float error of repeated
             // subtraction can exceed any fixed absolute epsilon.
-            self.newly_frozen.clear();
-            self.newly_frozen.resize(nf, false);
-            let newly_frozen = &mut self.newly_frozen;
-            for (ci, r) in residual.iter().enumerate() {
-                let eps = 1e-6 + constraints[ci].capacity.abs() * 1e-9;
-                if count[ci] > 0 && constraints[ci].capacity.is_finite() && *r <= eps {
-                    for &fi in &members[ci] {
+            newly_frozen.clear();
+            for &c in live.iter() {
+                let capacity = constraints[c].capacity;
+                let eps = 1e-6 + capacity.abs() * 1e-9;
+                if capacity.is_finite() && residual[c] <= eps {
+                    for &fi in &members[c] {
                         if !frozen[fi] {
-                            newly_frozen[fi] = true;
+                            frozen[fi] = true;
+                            newly_frozen.push(fi);
                         }
                     }
                 }
             }
-            for (fi, rate) in rates.iter().enumerate() {
+            for &fi in unfrozen.iter() {
                 if !frozen[fi] && caps[fi].is_finite() {
                     let eps = 1e-9 + caps[fi].abs() * 1e-9;
-                    if *rate >= caps[fi] - eps {
-                        newly_frozen[fi] = true;
+                    if rates[fi] >= caps[fi] - eps {
+                        frozen[fi] = true;
+                        newly_frozen.push(fi);
                     }
                 }
             }
-
-            let mut progress = false;
-            for fi in 0..nf {
-                if newly_frozen[fi] {
-                    frozen[fi] = true;
-                    unfrozen -= 1;
-                    progress = true;
-                    for &c in &flows[fi].constraints {
-                        count[c] -= 1;
-                    }
-                }
-            }
-            if !progress {
+            if newly_frozen.is_empty() {
                 // Numeric fallback: the increment was swallowed by
                 // rounding. Freeze everything at the current (feasible)
                 // rates — this sacrifices at most an epsilon of max-min
                 // optimality while guaranteeing termination.
-                frozen[..nf].fill(true);
                 break;
             }
+            for &fi in newly_frozen.iter() {
+                for &c in &flows[fi].constraints {
+                    count[c] -= 1;
+                }
+            }
+            unfrozen.retain(|&fi| !frozen[fi]);
+            live.retain(|&c| count[c] > 0);
         }
         &self.rates
     }
@@ -197,6 +214,12 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6 * b.abs().max(1.0)
+    }
+
+    fn max_min_rates(constraints: &[Constraint], flows: &[FlowPath]) -> Vec<f64> {
+        NetFairWorkspace::default()
+            .compute(constraints, flows)
+            .to_vec()
     }
 
     fn flow(cs: &[usize]) -> FlowPath {

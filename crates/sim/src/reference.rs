@@ -9,15 +9,20 @@
 //! sequences and virtual times bit for bit (see the lockstep property
 //! test in `tests/incremental_vs_reference.rs`).
 //!
+//! [`max_min_rates`] is the naive engine's own network fill: the
+//! progressive filling that scans every constraint and every flow on each
+//! iteration, which [`crate::netfair::NetFairWorkspace`] must reproduce
+//! bit for bit (`tests/prop_fairness.rs`).
+//!
 //! Not public API: exposed (`#[doc(hidden)]` from the crate root) only so
-//! that integration test can drive it.
+//! the integration tests can drive it.
 
 use std::collections::{BTreeMap, HashMap};
 
 use crate::cpufair::fair_cores;
 use crate::engine::{Activity, ActivityId, Completion, Endpoint, TimerId};
 use crate::metrics::NodeUsage;
-use crate::netfair::{max_min_rates, Constraint};
+use crate::netfair::{Constraint, FlowPath, UNCONSTRAINED_BPS};
 use crate::spec::{ClusterSpec, NodeId};
 use crate::time::SimTime;
 
@@ -327,4 +332,114 @@ impl<T: Clone> ReferenceEngine<T> {
             }
         }
     }
+}
+
+/// Naive max-min fair rates by progressive filling: every iteration scans
+/// all constraints and all flows, and every call rebuilds the whole
+/// constraint → member index.
+pub fn max_min_rates(constraints: &[Constraint], flows: &[FlowPath]) -> Vec<f64> {
+    let nf = flows.len();
+    let mut rates = vec![0.0; nf];
+    if nf == 0 {
+        return rates;
+    }
+    let mut frozen = vec![false; nf];
+
+    // Residual capacity and unfrozen-flow count per constraint. A flow's
+    // private cap is modelled as one extra single-flow constraint.
+    let mut residual: Vec<f64> = constraints.iter().map(|c| c.capacity).collect();
+    let mut count = vec![0usize; constraints.len()];
+    for f in flows {
+        for &c in &f.constraints {
+            count[c] += 1;
+        }
+    }
+    let caps: Vec<f64> = flows
+        .iter()
+        .map(|f| f.rate_cap.unwrap_or(f64::INFINITY))
+        .collect();
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); constraints.len()];
+    for (fi, f) in flows.iter().enumerate() {
+        for &c in &f.constraints {
+            members[c].push(fi);
+        }
+    }
+
+    let mut unfrozen = nf;
+    while unfrozen > 0 {
+        // Smallest uniform increment saturating a constraint or a cap.
+        let mut inc = f64::INFINITY;
+        for (i, c) in residual.iter().enumerate() {
+            if count[i] > 0 && c.is_finite() {
+                inc = inc.min(c / count[i] as f64);
+            }
+        }
+        for i in 0..nf {
+            if !frozen[i] && caps[i].is_finite() {
+                inc = inc.min(caps[i] - rates[i]);
+            }
+        }
+        if !inc.is_finite() {
+            // No binding constraint: remaining flows are unconstrained.
+            for i in 0..nf {
+                if !frozen[i] {
+                    rates[i] = UNCONSTRAINED_BPS;
+                    frozen[i] = true;
+                }
+            }
+            break;
+        }
+
+        // Raise every unfrozen flow by `inc`; charge the constraints.
+        for i in 0..nf {
+            if !frozen[i] {
+                rates[i] += inc;
+            }
+        }
+        for (i, r) in residual.iter_mut().enumerate() {
+            if count[i] > 0 {
+                *r -= inc * count[i] as f64;
+            }
+        }
+
+        // Freeze flows on saturated constraints or at their private cap,
+        // with thresholds relative to the capacity.
+        let mut newly_frozen = vec![false; nf];
+        for (ci, r) in residual.iter().enumerate() {
+            let eps = 1e-6 + constraints[ci].capacity.abs() * 1e-9;
+            if count[ci] > 0 && constraints[ci].capacity.is_finite() && *r <= eps {
+                for &fi in &members[ci] {
+                    if !frozen[fi] {
+                        newly_frozen[fi] = true;
+                    }
+                }
+            }
+        }
+        for (fi, rate) in rates.iter().enumerate() {
+            if !frozen[fi] && caps[fi].is_finite() {
+                let eps = 1e-9 + caps[fi].abs() * 1e-9;
+                if *rate >= caps[fi] - eps {
+                    newly_frozen[fi] = true;
+                }
+            }
+        }
+
+        let mut progress = false;
+        for fi in 0..nf {
+            if newly_frozen[fi] {
+                frozen[fi] = true;
+                unfrozen -= 1;
+                progress = true;
+                for &c in &flows[fi].constraints {
+                    count[c] -= 1;
+                }
+            }
+        }
+        if !progress {
+            // Numeric fallback: the increment was swallowed by rounding;
+            // keep the current (feasible) rates.
+            break;
+        }
+    }
+    rates
 }

@@ -80,6 +80,29 @@ pub struct ResourceManager {
     /// Latest virtual time seen by [`Self::allocate_at`]. Submission-time
     /// audit entries use it; the RM deliberately has no clock of its own.
     last_now: f64,
+    /// Whether the RM state changed since the last allocation round in a
+    /// way that can make a pending ask grantable or re-order the tries.
+    /// Every mutation outside `allocate_at` that can do so sets it; a
+    /// round with the flag clear skips the scan, because it would grant
+    /// nothing:
+    ///
+    /// - a round tries each schedulable ask exactly once, and every ask
+    ///   still pending afterwards failed either its queue ceilings
+    ///   (`fits_under_max`) or its node search (`find_node`);
+    /// - the round's own grants only shrink node availability and grow
+    ///   queue usage, and both tests are monotone in those two: an ask
+    ///   that failed cannot pass after more was granted;
+    /// - `pick_leaf` only orders the tries, and `spread_cursor` only
+    ///   picks among nodes that already fit, so neither decides *whether*
+    ///   an ask is granted.
+    ///
+    /// So after any round, empty or not, the next one grants nothing
+    /// unless something outside the round changed the state.
+    changed: bool,
+    /// Forces every round to scan, so tests can check the gate against
+    /// an RM that never skips.
+    #[cfg(test)]
+    scan_every_round: bool,
     /// Observability sink. Counters land in the metrics registry;
     /// timestamped container spans are emitted by the driver.
     tracer: Tracer,
@@ -123,6 +146,9 @@ impl ResourceManager {
             infeasible: Vec::new(),
             spread_cursor: 0,
             last_now: 0.0,
+            changed: true,
+            #[cfg(test)]
+            scan_every_round: false,
             tracer: Tracer::disabled(),
         }
     }
@@ -141,6 +167,7 @@ impl ResourceManager {
         }
         self.queues = QueueSet::build(&config)?;
         self.queues_configured = true;
+        self.changed = true;
         Ok(())
     }
 
@@ -172,6 +199,7 @@ impl ResourceManager {
     fn admit(&mut self, leaf: usize, name: String) -> (AppId, Admission) {
         let id = AppId(self.next_app);
         self.next_app += 1;
+        self.changed = true;
         self.apps.push(name);
         self.app_queue.push(leaf);
         let node = &mut self.queues.nodes[leaf];
@@ -208,6 +236,7 @@ impl ResourceManager {
             return;
         }
         self.app_finished[idx] = true;
+        self.changed = true;
         if !self.app_admitted[idx] {
             // Still parked: just remove it from the wait list.
             let leaf = self.app_queue[idx];
@@ -258,6 +287,7 @@ impl ResourceManager {
             return id;
         }
         self.queue.insert(id.0, PendingRequest { app, request });
+        self.changed = true;
         self.tracer.inc("rm.requests", 1);
         self.tracer
             .set_gauge("rm.pending_requests", self.queue.len() as f64);
@@ -313,6 +343,7 @@ impl ResourceManager {
         self.queue.retain(|_, p| p.app != app);
         let withdrawn = before - self.queue.len();
         if withdrawn > 0 {
+            self.changed = true;
             self.tracer.inc("rm.requests_cancelled", withdrawn as u64);
             self.tracer
                 .set_gauge("rm.pending_requests", self.queue.len() as f64);
@@ -337,9 +368,42 @@ impl ResourceManager {
     /// elastic ceiling; then updates starvation clocks and selects
     /// cross-queue preemption victims. Requests that cannot be satisfied
     /// stay queued. Returns the new containers.
+    ///
+    /// The scan over pending requests and nodes runs only if the RM state
+    /// changed since the last round (see the `changed` field for why an
+    /// unchanged state grants nothing). Every round still counts, updates
+    /// the gauges and queue-usage rows, and runs the preemption logic.
     pub fn allocate_at(&mut self, now: f64) -> Vec<Container> {
         self.last_now = now;
         let total = self.alive_total();
+        #[cfg(test)]
+        let scan = self.changed || self.scan_every_round;
+        #[cfg(not(test))]
+        let scan = self.changed;
+        let granted = if scan {
+            self.changed = false;
+            self.grant_pending(total)
+        } else {
+            Vec::new()
+        };
+        self.update_preemption(now, total);
+        if self.tracer.is_enabled() {
+            self.tracer.inc("rm.allocation_rounds", 1);
+            self.tracer
+                .inc("rm.containers_allocated", granted.len() as u64);
+            self.tracer
+                .set_gauge("rm.pending_requests", self.queue.len() as f64);
+            self.tracer
+                .set_gauge("rm.running_containers", self.containers.len() as f64);
+            self.emit_queue_usage(now);
+        }
+        granted
+    }
+
+    /// The scan of one allocation round: tries every schedulable pending
+    /// request once, leaves in DRF order, and grants those that fit under
+    /// their queue ceilings and on a node.
+    fn grant_pending(&mut self, total: Resource) -> Vec<Container> {
         let mut granted = Vec::new();
         // Per-leaf id-ordered snapshots of schedulable pending requests.
         let nq = self.queues.nodes.len();
@@ -387,17 +451,6 @@ impl ResourceManager {
                 );
                 granted.push(container);
             }
-        }
-        self.update_preemption(now, total);
-        if self.tracer.is_enabled() {
-            self.tracer.inc("rm.allocation_rounds", 1);
-            self.tracer
-                .inc("rm.containers_allocated", granted.len() as u64);
-            self.tracer
-                .set_gauge("rm.pending_requests", self.queue.len() as f64);
-            self.tracer
-                .set_gauge("rm.running_containers", self.containers.len() as f64);
-            self.emit_queue_usage(now);
         }
         granted
     }
@@ -725,6 +778,7 @@ impl ResourceManager {
     /// Returns a container's lease to the pool (task finished or killed).
     pub fn release(&mut self, id: ContainerId) -> Option<Container> {
         let container = self.containers.remove(&id.0)?;
+        self.changed = true;
         let state = &mut self.nodes[container.node.index()];
         if state.alive {
             state.available.add(&container.resource);
@@ -740,6 +794,7 @@ impl ResourceManager {
     /// Marks a node dead and returns the containers that were running on
     /// it — the owning AMs must be told their tasks are gone.
     pub fn fail_node(&mut self, node: NodeId) -> Vec<Container> {
+        self.changed = true;
         let state = &mut self.nodes[node.index()];
         state.alive = false;
         state.available = Resource::ZERO;
@@ -776,6 +831,7 @@ impl ResourceManager {
         );
         state.total = capacity;
         state.available = capacity;
+        self.changed = true;
     }
 
     /// Returns a node to service with full (empty) capacity.
@@ -784,6 +840,7 @@ impl ResourceManager {
         if !state.alive {
             state.alive = true;
             state.available = state.total;
+            self.changed = true;
             self.tracer.inc("rm.nodes_revived", 1);
         }
     }
@@ -1400,5 +1457,162 @@ mod tests {
             snap.metrics.gauge("rm.queue.tenant-b.used_vcores"),
             Some(0.0)
         );
+    }
+
+    // ----- change-gated allocation rounds -----------------------------------
+
+    #[test]
+    fn parked_request_is_granted_on_the_first_round_after_admission() {
+        let mut r = rm(2);
+        r.configure_queues(QueuesConfig {
+            root: QueueSpec::leaf("only", 1.0, 1.0, 1.0).with_max_apps(1),
+            admission: AdmissionPolicy::Queue,
+            preemption_grace_secs: None,
+        })
+        .unwrap();
+        let (a, _) = r.submit_app_to("only", "first").unwrap();
+        let (b, vb) = r.submit_app_to("only", "second").unwrap();
+        assert_eq!(vb, Admission::Queued);
+        r.request(b, ContainerRequest::anywhere(one_core()));
+        // Rounds with nothing schedulable leave the request parked...
+        assert!(r.allocate_at(1.0).is_empty());
+        assert!(r.allocate_at(2.0).is_empty());
+        // ...and admission from the wait list alone must re-arm the scan.
+        r.finish_app(a);
+        let got = r.allocate_at(3.0);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].app, b);
+    }
+
+    /// Two leaves under one parent: "a" capped at 75% of the cluster and
+    /// one live app, "b" elastic with two; parked apps wait, and starved
+    /// leaves preempt after two seconds.
+    fn gate_oracle_rm(scan_every_round: bool) -> ResourceManager {
+        let mut r = rm(4);
+        r.configure_queues(QueuesConfig {
+            root: QueueSpec::parent(
+                "root",
+                1.0,
+                1.0,
+                1.0,
+                vec![
+                    QueueSpec::leaf("a", 2.0, 0.5, 0.75).with_max_apps(1),
+                    QueueSpec::leaf("b", 1.0, 0.5, 1.0).with_max_apps(2),
+                ],
+            ),
+            admission: AdmissionPolicy::Queue,
+            preemption_grace_secs: Some(2.0),
+        })
+        .unwrap();
+        r.scan_every_round = scan_every_round;
+        r
+    }
+
+    fn grant_keys(granted: &[Container]) -> Vec<(ContainerId, NodeId, AppId)> {
+        granted.iter().map(|c| (c.id, c.node, c.app)).collect()
+    }
+
+    /// Drives `r` through `ops` (each `(kind, x, y, z)` draw picks an op
+    /// and its arguments) and logs, per op, what it observably returned:
+    /// grants, preemption victims, killed and released containers,
+    /// withdrawals, admissions and fail-fast rejections.
+    fn run_gate_ops(mut r: ResourceManager, ops: &[(u8, u8, u8, u8)]) -> Vec<String> {
+        let mut apps = vec![
+            r.submit_app_to("a", "a0").unwrap().0,
+            r.submit_app_to("b", "b0").unwrap().0,
+        ];
+        let mut live: Vec<ContainerId> = Vec::new();
+        let mut now = 0.0;
+        let mut log = Vec::new();
+        for &(kind, x, y, z) in ops {
+            let app = apps[x as usize % apps.len()];
+            let node = NodeId(y as u32 % 4);
+            let size = Resource::new(1 + (y as u32 >> 2) % 2, 500 + 500 * (z as u64 % 8));
+            let entry = match kind {
+                0 | 1 => format!("{:?}", r.request(app, ContainerRequest::anywhere(size))),
+                2 => format!("{:?}", r.request(app, ContainerRequest::pinned(size, node))),
+                3 => {
+                    let ask = ContainerRequest {
+                        resource: size,
+                        preference: Some(node),
+                        relax_locality: true,
+                        unpreemptable: x & 1 == 1,
+                    };
+                    format!("{:?}", r.request(app, ask))
+                }
+                4 => {
+                    // Fits no node's total: failed fast, never queued.
+                    r.request(app, ContainerRequest::anywhere(Resource::new(9, 1000)));
+                    format!("{:?}", r.take_infeasible())
+                }
+                5 if !live.is_empty() => {
+                    let id = live.swap_remove(x as usize % live.len());
+                    format!("{:?}", r.release(id).map(|c| c.id))
+                }
+                6 => {
+                    let killed = grant_keys(&r.fail_node(node));
+                    live.retain(|id| !killed.iter().any(|k| k.0 == *id));
+                    format!("{killed:?}")
+                }
+                7 => {
+                    r.revive_node(node);
+                    String::new()
+                }
+                8 | 9 if r.available(node) == r.total(node) && r.is_alive(node) => {
+                    let cap = Resource::new(1 + z as u32 % 4, 2000 + 1000 * (x as u64 % 7));
+                    r.set_capacity(node, cap);
+                    String::new()
+                }
+                10 => format!("{}", r.withdraw_requests(app)),
+                11 => {
+                    r.finish_app(app);
+                    String::new()
+                }
+                12 if apps.len() < 8 => {
+                    let leaf = if x & 1 == 0 { "a" } else { "b" };
+                    let (id, verdict) = r.submit_app_to(leaf, "late").unwrap();
+                    apps.push(id);
+                    format!("{id:?} {verdict:?}")
+                }
+                _ => {
+                    now += z as f64 * 0.25;
+                    let granted = grant_keys(&r.allocate_at(now));
+                    live.extend(granted.iter().map(|k| k.0));
+                    let victims = r.take_preemptions();
+                    // The driver kills the victims, most of the time.
+                    if x % 4 != 0 {
+                        for id in &victims {
+                            r.release(*id);
+                            live.retain(|l| l != id);
+                        }
+                    }
+                    format!("t={now} granted {granted:?} victims {victims:?}")
+                }
+            };
+            log.push(entry);
+        }
+        log
+    }
+
+    proptest::proptest! {
+        /// The change gate never alters an allocation: an RM that skips
+        /// unchanged rounds and one that scans every round make the same
+        /// grants and select the same preemption victims under the same
+        /// random sequence of asks (relaxed, pinned and never fitting),
+        /// releases, node failures and recoveries, capacity changes,
+        /// withdrawals, submissions and finishes.
+        #[test]
+        fn gated_rounds_match_scanning_every_round(
+            ops in proptest::collection::vec(
+                (0u8..18, proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>(), 0u8..12),
+                1..150,
+            ),
+        ) {
+            let gated = run_gate_ops(gate_oracle_rm(false), &ops);
+            let scanning = run_gate_ops(gate_oracle_rm(true), &ops);
+            for (i, (g, s)) in gated.iter().zip(&scanning).enumerate() {
+                proptest::prop_assert_eq!(g, s, "op {} = {:?}", i, ops[i]);
+            }
+        }
     }
 }
