@@ -2,9 +2,9 @@
 # CI entry point: build, test, lint, smoke-run the perfbench host-cost
 # benchmark and the provenance-store benchmark, then byte-gate the trace
 # artifacts and every experiment's output. Everything gated here is
-# deterministic; the provdb smoke also regenerates BENCH_provdb.json.
-# Run outputs (traces, experiment text) land in ci-out/, which the
-# workflow uploads as artifacts.
+# deterministic. Run outputs (traces, experiment text, the provdb smoke's
+# BENCH_provdb.json) land in ci-out/, which the workflow uploads as
+# artifacts, so a run leaves the working tree clean.
 set -euo pipefail
 cd "$(dirname "$0")"
 out=ci-out
@@ -35,8 +35,8 @@ python3 perfbench/run.py --workload montage_heft_warmup --seconds 3
 python3 perfbench/run.py --workload snv_static_128w --seconds 3
 
 echo "==> provenance store benchmark smoke"
-./target/release/bench_provdb --quick BENCH_provdb.json
-cat BENCH_provdb.json
+./target/release/bench_provdb --quick "$out/BENCH_provdb.json"
+cat "$out/BENCH_provdb.json"
 
 echo "==> trace determinism gate (every policy, fault-free and chaotic, twice, byte-identical)"
 # The chaotic run (intensity 2, seed 8) has infrastructure failures and a

@@ -173,7 +173,7 @@ impl Tracer {
         });
     }
 
-    /// Samples a counter track (e.g. event-heap depth over time).
+    /// Samples a counter track (e.g. live activities over time).
     #[inline]
     pub fn counter(&self, track: TrackId, name: &str, t: f64, value: f64) {
         let Some(inner) = &self.inner else { return };

@@ -24,18 +24,16 @@
 //! some flow traverses.
 //!
 //! Activities live in a slab (dense slots with a free list), so the
-//! per-step settle and completion passes are straight array walks rather
-//! than hash or tree lookups. Event lookup is heap-based: timers sit in a
-//! deadline-ordered binary heap, and activity completions in a
-//! predicted-completion heap whose entries are lazily invalidated (via
-//! per-slot stamps) when an activity's rate changes or its slot is
-//! reused. Remaining volumes are still settled with one subtraction per
-//! finite activity per step — the exact arithmetic of the naive engine
-//! (see [`crate::reference`]), which keeps virtual timestamps bit-for-bit
-//! identical — but background loads (infinite volume, e.g. the paper's
-//! `stress` processes in the Figure 9 experiment) live outside the finite
-//! list, so neither the settle pass nor completion scans ever iterate
-//! them.
+//! per-step passes are straight array walks rather than hash or tree
+//! lookups. Timers sit in the one event heap, deadline-ordered. The next
+//! activity completion is found by walking the finite activities in the
+//! same order as the settle pass, with the naive engine's own expression
+//! (see [`crate::reference`]), so the instant is bit-identical to its scan
+//! by construction. Remaining volumes are settled with one subtraction per
+//! finite activity per step, again the naive engine's exact arithmetic.
+//! Background loads (infinite volume, e.g. the paper's `stress` processes
+//! in the Figure 9 experiment) live outside the finite list, so neither
+//! the settle pass nor the completion scans ever iterate them.
 //!
 //! The equivalence contract with the naive engine is enforced by property
 //! tests (`tests/incremental_vs_reference.rs`).
@@ -103,19 +101,6 @@ struct Act<T> {
     remaining: f64,
     rate: f64,
     tag: T,
-}
-
-/// One slab slot. The stamp is bumped on every rate assignment *and* on
-/// slot reuse, so completion-heap entries carrying an older stamp — or
-/// pointing at a freed slot — are recognizably stale.
-struct Slot<T> {
-    stamp: u64,
-    act: Option<Act<T>>,
-}
-
-struct Timer<T> {
-    tag: T,
-    cancelled: bool,
 }
 
 /// Residual volume below which an activity counts as finished. Volumes are
@@ -193,7 +178,10 @@ pub fn io_flow_path(
                 Endpoint::External(e) => {
                     cs.push(ext_base + e.index());
                     let ext = &spec.externals[e.index()];
-                    cap = cap.min_opt(ext.per_flow_bps);
+                    cap = match (cap, ext.per_flow_bps) {
+                        (Some(a), Some(b)) => Some(a.min(b)),
+                        (a, b) => a.or(b),
+                    };
                     if !ext.via_switch {
                         via_switch = false;
                     }
@@ -214,7 +202,7 @@ pub fn io_flow_path(
 pub struct Engine<T> {
     spec: ClusterSpec,
     now: SimTime,
-    slab: Vec<Slot<T>>,
+    slab: Vec<Option<Act<T>>>,
     free: Vec<u32>,
     id_to_slot: HashMap<u64, u32>,
     next_id: u64,
@@ -222,13 +210,11 @@ pub struct Engine<T> {
     /// activities that can complete. Background loads (infinite volume)
     /// are excluded, so settle/completion passes never touch them.
     finite: Vec<(u64, u32)>,
-    timers: HashMap<u64, Timer<T>>,
-    /// Deadline-ordered timer queue; entries for cancelled timers are
-    /// discarded lazily when they surface.
+    /// Pending timers; cancelling one removes it.
+    timers: HashMap<u64, T>,
+    /// Deadline-ordered timer queue; ids absent from `timers` were
+    /// cancelled and are skipped when they surface.
     timer_heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Predicted completion instants `(at, slot, stamp)`; an entry whose
-    /// stamp no longer matches the slot's is stale.
-    comp_heap: BinaryHeap<Reverse<(SimTime, u32, u64)>>,
     /// Per-node flag + worklist of nodes whose compute set changed.
     cpu_dirty: Vec<bool>,
     cpu_dirty_list: Vec<u32>,
@@ -248,7 +234,6 @@ pub struct Engine<T> {
     caps_buf: Vec<f64>,
     alloc_buf: Vec<f64>,
     order_buf: Vec<usize>,
-    peek_buf: Vec<(SimTime, u32, u64)>,
     done_buf: Vec<(u64, u32)>,
     usage: Vec<NodeUsage>,
     /// Cached instantaneous per-node totals, refreshed with the rates:
@@ -301,7 +286,6 @@ impl<T: Clone> Engine<T> {
             finite: Vec::new(),
             timers: HashMap::new(),
             timer_heap: BinaryHeap::new(),
-            comp_heap: BinaryHeap::new(),
             cpu_dirty: vec![false; n],
             cpu_dirty_list: Vec::new(),
             io_dirty: false,
@@ -315,7 +299,6 @@ impl<T: Clone> Engine<T> {
             caps_buf: Vec::new(),
             alloc_buf: Vec::new(),
             order_buf: Vec::new(),
-            peek_buf: Vec::new(),
             done_buf: Vec::new(),
             usage: vec![NodeUsage::default(); n],
             inst: vec![[0.0; 5]; n],
@@ -370,15 +353,10 @@ impl<T: Clone> Engine<T> {
 
     fn alloc_slot(&mut self, act: Act<T>) -> u32 {
         if let Some(s) = self.free.pop() {
-            let slot = &mut self.slab[s as usize];
-            slot.stamp += 1; // orphan any heap entries of prior occupants
-            slot.act = Some(act);
+            self.slab[s as usize] = Some(act);
             s
         } else {
-            self.slab.push(Slot {
-                stamp: 1,
-                act: Some(act),
-            });
+            self.slab.push(Some(act));
             (self.slab.len() - 1) as u32
         }
     }
@@ -465,7 +443,7 @@ impl<T: Clone> Engine<T> {
     /// Cancels a running activity, returning its tag (None if already done).
     pub fn cancel(&mut self, id: ActivityId) -> Option<T> {
         let slot = self.id_to_slot.remove(&id.0)?;
-        let act = self.slab[slot as usize].act.take().expect("slot mapped");
+        let act = self.slab[slot as usize].take().expect("slot mapped");
         self.free.push(slot);
         self.detach(id.0, &act.kind);
         if act.remaining.is_finite() {
@@ -486,13 +464,7 @@ impl<T: Clone> Engine<T> {
         let id = self.next_id;
         self.next_id += 1;
         let at = at.max(self.now);
-        self.timers.insert(
-            id,
-            Timer {
-                tag,
-                cancelled: false,
-            },
-        );
+        self.timers.insert(id, tag);
         self.timer_heap.push(Reverse((at, id)));
         TimerId(id)
     }
@@ -504,102 +476,49 @@ impl<T: Clone> Engine<T> {
     }
 
     pub fn cancel_timer(&mut self, id: TimerId) {
-        if let Some(t) = self.timers.get_mut(&id.0) {
-            t.cancelled = true;
-        }
+        self.timers.remove(&id.0);
     }
 
     /// The tags of every in-flight activity (background loads included),
     /// in slab order — what an end-of-run leak check inspects.
     pub fn live_tags(&self) -> impl Iterator<Item = &T> {
-        self.slab
-            .iter()
-            .filter_map(|s| s.act.as_ref())
-            .map(|a| &a.tag)
+        self.slab.iter().flatten().map(|a| &a.tag)
     }
 
-    /// Debug: pending (non-cancelled) timer count.
+    /// Debug: pending timer count.
     pub fn debug_timer_count(&self) -> usize {
-        self.timers.values().filter(|t| !t.cancelled).count()
+        self.timers.len()
     }
 
-    /// Earliest predicted activity completion. The heap orders candidates
-    /// by the prediction made at their last rate change; every candidate
-    /// within the float-drift window of the top is re-evaluated from its
-    /// current remaining volume, so the returned instant is exactly the
-    /// naive engine's scan minimum.
-    fn peek_completion(&mut self) -> Option<SimTime> {
-        // Bound stale-entry buildup: rebuild from live activities when the
-        // heap far outgrows them.
-        if self.comp_heap.len() > 64 + 8 * self.finite.len() {
-            self.comp_heap.clear();
-            for &(_, slot) in &self.finite {
-                let s = &self.slab[slot as usize];
-                let a = s.act.as_ref().expect("finite act exists");
-                if a.rate > 0.0 {
-                    let key = if is_complete(a.remaining, a.rate) {
-                        self.now
-                    } else {
-                        self.now + a.remaining / a.rate
-                    };
-                    self.comp_heap.push(Reverse((key, slot, s.stamp)));
-                }
+    /// Earliest activity completion: the naive engine's scan with its
+    /// exact expression, so the instant is bit-identical to its answer.
+    fn peek_completion(&self) -> Option<SimTime> {
+        let mut next: Option<SimTime> = None;
+        for &(_, slot) in &self.finite {
+            let a = self.slab[slot as usize]
+                .as_ref()
+                .expect("finite act exists");
+            if a.rate > 0.0 {
+                let t = if is_complete(a.remaining, a.rate) {
+                    self.now
+                } else {
+                    self.now + a.remaining / a.rate
+                };
+                next = Some(next.map_or(t, |n| n.min(t)));
             }
         }
-        loop {
-            let &Reverse((key, slot, stamp)) = self.comp_heap.peek()?;
-            {
-                let s = &self.slab[slot as usize];
-                if s.stamp != stamp || s.act.is_none() {
-                    self.comp_heap.pop();
-                    continue;
-                }
-            }
-            // Cached keys may drift from fresh predictions by accumulated
-            // settle rounding; the window is orders of magnitude wider
-            // than that drift and far narrower than real event gaps.
-            let limit = key + (1e-6 + key.as_secs() * 1e-9);
-            let mut best: Option<SimTime> = None;
-            let mut kept = std::mem::take(&mut self.peek_buf);
-            kept.clear();
-            while let Some(&Reverse((k, sl, st))) = self.comp_heap.peek() {
-                if k > limit {
-                    break;
-                }
-                self.comp_heap.pop();
-                let s = &self.slab[sl as usize];
-                if s.stamp == st {
-                    if let Some(a) = s.act.as_ref() {
-                        let fresh = if is_complete(a.remaining, a.rate) {
-                            self.now
-                        } else {
-                            self.now + a.remaining / a.rate
-                        };
-                        best = Some(best.map_or(fresh, |b| b.min(fresh)));
-                        kept.push((k, sl, st));
-                    }
-                }
-            }
-            for e in kept.drain(..) {
-                self.comp_heap.push(Reverse(e));
-            }
-            self.peek_buf = kept;
-            return best;
-        }
+        next
     }
 
-    /// Earliest pending timer deadline, discarding surfaced cancellations.
+    /// Earliest pending timer deadline, popping cancelled ids that surface.
     fn peek_timer(&mut self) -> Option<SimTime> {
-        loop {
-            let &Reverse((at, id)) = self.timer_heap.peek()?;
-            match self.timers.get(&id) {
-                Some(t) if !t.cancelled => return Some(at),
-                _ => {
-                    self.timer_heap.pop();
-                    self.timers.remove(&id);
-                }
+        while let Some(&Reverse((at, id))) = self.timer_heap.peek() {
+            if self.timers.contains_key(&id) {
+                return Some(at);
             }
+            self.timer_heap.pop();
         }
+        None
     }
 
     /// Virtual time of the next completion or timer, if any work is pending.
@@ -625,7 +544,6 @@ impl<T: Clone> Engine<T> {
         done.clear();
         for &(id, slot) in &self.finite {
             let a = self.slab[slot as usize]
-                .act
                 .as_ref()
                 .expect("finite act exists");
             if is_complete(a.remaining, a.rate) {
@@ -636,10 +554,7 @@ impl<T: Clone> Engine<T> {
             self.finite
                 .retain(|&(id, _)| done.binary_search_by_key(&id, |&(i, _)| i).is_err());
             for &(id, slot) in &done {
-                let act = self.slab[slot as usize]
-                    .act
-                    .take()
-                    .expect("collected above");
+                let act = self.slab[slot as usize].take().expect("collected above");
                 self.free.push(slot);
                 self.id_to_slot.remove(&id);
                 self.detach(id, &act.kind);
@@ -662,42 +577,29 @@ impl<T: Clone> Engine<T> {
         done.clear();
         self.done_buf = done;
 
-        let mut due: Vec<u64> = Vec::new();
+        let mut due: Vec<(u64, T)> = Vec::new();
         while let Some(&Reverse((at, id))) = self.timer_heap.peek() {
             if at > self.now {
                 break;
             }
             self.timer_heap.pop();
-            match self.timers.get(&id) {
-                // Cancelled timers that have passed are garbage-collected.
-                Some(t) if t.cancelled => {
-                    self.timers.remove(&id);
-                }
-                Some(_) => due.push(id),
-                None => {}
+            if let Some(tag) = self.timers.remove(&id) {
+                due.push((id, tag));
             }
         }
         // The heap surfaces due timers deadline-first; fire in id order.
-        due.sort_unstable();
-        for id in due {
-            let timer = self.timers.remove(&id).expect("collected above");
+        due.sort_unstable_by_key(|&(id, _)| id);
+        for (id, tag) in due {
             fired.push(Completion::Timer {
                 id: TimerId(id),
-                tag: timer.tag,
+                tag,
             });
         }
         if self.tracer.is_enabled() {
-            let now = self.now.as_secs();
-            self.tracer.counter(
-                self.engine_track,
-                "engine.heap_depth",
-                now,
-                self.comp_heap.len() as f64,
-            );
             self.tracer.counter(
                 self.engine_track,
                 "engine.active",
-                now,
+                self.now.as_secs(),
                 self.id_to_slot.len() as f64,
             );
             self.tracer.inc("engine.steps", 1);
@@ -715,7 +617,6 @@ impl<T: Clone> Engine<T> {
         if dt > 0.0 {
             for &(_, slot) in &self.finite {
                 let act = self.slab[slot as usize]
-                    .act
                     .as_mut()
                     .expect("finite act exists");
                 act.remaining -= act.rate * dt;
@@ -738,8 +639,7 @@ impl<T: Clone> Engine<T> {
 
     /// Recomputes the rates invalidated since the last refresh: one
     /// `fair_cores` run per dirty node, one max-min fill iff the IO set
-    /// changed. Every freshly rated activity gets a new completion-heap
-    /// entry; its previous entries go stale via the stamp bump.
+    /// changed.
     fn refresh_rates(&mut self) {
         while let Some(n) = self.cpu_dirty_list.pop() {
             let n = n as usize;
@@ -757,18 +657,8 @@ impl<T: Clone> Engine<T> {
             let mut total = 0.0;
             for (k, &(_, slot, _)) in self.compute_members[n].iter().enumerate() {
                 let cores = self.alloc_buf[k];
-                let s = &mut self.slab[slot as usize];
-                let act = s.act.as_mut().expect("member exists");
+                let act = self.slab[slot as usize].as_mut().expect("member exists");
                 act.rate = cores * node_spec.speed;
-                s.stamp += 1;
-                if act.remaining.is_finite() && act.rate > 0.0 {
-                    let key = if is_complete(act.remaining, act.rate) {
-                        self.now
-                    } else {
-                        self.now + act.remaining / act.rate
-                    };
-                    self.comp_heap.push(Reverse((key, slot, s.stamp)));
-                }
                 total += cores;
             }
             self.inst[n][0] = total;
@@ -785,18 +675,8 @@ impl<T: Clone> Engine<T> {
             }
             for (idx, &(_, slot)) in self.io.iter().enumerate() {
                 let rate = rates[idx];
-                let s = &mut self.slab[slot as usize];
-                let act = s.act.as_mut().expect("flow exists");
+                let act = self.slab[slot as usize].as_mut().expect("flow exists");
                 act.rate = rate;
-                s.stamp += 1;
-                if act.remaining.is_finite() && rate > 0.0 {
-                    let key = if is_complete(act.remaining, rate) {
-                        self.now
-                    } else {
-                        self.now + act.remaining / rate
-                    };
-                    self.comp_heap.push(Reverse((key, slot, s.stamp)));
-                }
                 match &act.kind {
                     Activity::DiskRead { node } => self.inst[node.index()][1] += rate,
                     Activity::DiskWrite { node } => self.inst[node.index()][2] += rate,
@@ -822,21 +702,6 @@ impl<T: Clone> Engine<T> {
                     Activity::Compute { .. } => unreachable!("not in the IO set"),
                 }
             }
-        }
-    }
-}
-
-/// `Option<f64>` min helper for combining per-flow caps.
-trait MinOpt {
-    fn min_opt(self, other: Option<f64>) -> Option<f64>;
-}
-
-impl MinOpt for Option<f64> {
-    fn min_opt(self, other: Option<f64>) -> Option<f64> {
-        match (self, other) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
         }
     }
 }
@@ -1100,10 +965,10 @@ mod tests {
     }
 
     #[test]
-    fn stale_completion_entries_are_discarded_on_rate_change() {
+    fn completion_time_follows_a_rate_change() {
         let mut e: Engine<u32> = Engine::new(one_node_cluster());
-        // The long task's first prediction (t=20 at 1 core) goes stale
-        // when the short task finishes and it doubles its rate.
+        // The long task would finish at t=20 at 1 core, but it doubles its
+        // rate when the short task finishes at t=4.
         e.start(
             Activity::Compute {
                 node: NodeId(0),
@@ -1122,7 +987,7 @@ mod tests {
         );
         assert!((e.peek_next_time().unwrap().as_secs() - 4.0).abs() < 1e-9);
         e.step().unwrap();
-        // Fresh prediction: 12 remaining at 2 cores -> t = 4 + 6 = 10.
+        // 12 remaining at 2 cores -> t = 4 + 6 = 10.
         assert!((e.peek_next_time().unwrap().as_secs() - 10.0).abs() < 1e-6);
         e.step().unwrap();
         assert!((e.now().as_secs() - 10.0).abs() < 1e-6);
@@ -1182,7 +1047,7 @@ mod tests {
         );
         e.step().unwrap();
         let data = tracer.snapshot().unwrap();
-        // start + end instants, plus the per-step heap/active counters.
+        // start + end instants, plus the per-step active counter.
         let names: Vec<&str> = data
             .events
             .iter()
@@ -1194,12 +1059,7 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            vec![
-                "act.start:compute",
-                "act.end:compute",
-                "engine.heap_depth",
-                "engine.active"
-            ]
+            vec!["act.start:compute", "act.end:compute", "engine.active"]
         );
         assert_eq!(tracer.counter_value("engine.activities_started"), 1);
         assert_eq!(tracer.counter_value("engine.steps"), 1);
@@ -1227,11 +1087,11 @@ mod tests {
     }
 
     #[test]
-    fn slot_reuse_does_not_resurrect_stale_predictions() {
+    fn a_reused_slot_completes_at_its_own_time() {
         let mut e: Engine<u32> = Engine::new(two_node_cluster());
-        // Create a prediction entry for a task, cancel it (freeing its
-        // slot), then start a different task that reuses the slot. The
-        // stale entry must not surface as the new task's completion.
+        // Peek a task's completion, cancel it (freeing its slot), then
+        // start a different task that reuses the slot. The cancelled
+        // task's t=1 must not surface as the new task's completion.
         let a = e.start(
             Activity::Compute {
                 node: NodeId(0),

@@ -1,5 +1,5 @@
 //! Lockstep equivalence: the incremental engine (dirty-node CPU refresh,
-//! cached flow paths, timer + predicted-completion heaps) must be
+//! cached flow paths, slab storage, a timer heap) must be
 //! observationally identical — same completion sequences, same virtual
 //! timestamps bit for bit — to the naive recompute-everything reference
 //! engine it replaced. Random workloads mix compute, disk streams, flows,
